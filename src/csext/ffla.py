@@ -3,6 +3,12 @@
 Matrices are numpy integer arrays with entries reduced mod p.  Pivoting is
 deterministic (first nonzero entry in column order), so echelon forms, ranks
 and nullspace bases are reproducible byte for byte.
+
+Elimination touches only what can change: each pivot updates just the rows
+with a nonzero entry in the pivot column, and only from the pivot column
+rightward (the pivot row is zero to its left).  Most rows of the systems
+this package solves reduce to zero, so this skips most of a full
+outer-product update without changing the result.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ def rref(a, p: int) -> tuple[np.ndarray, list[int]]:
         piv = row + int(nz[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
-        colvals = r[:, col].copy()
-        colvals[row] = 0
-        r -= np.outer(colvals, r[row])
-        r %= p
+        pivot_row = r[row, col:] * pow(int(r[row, col]), -1, p) % p
+        r[row, col:] = pivot_row
+        hit = np.flatnonzero(r[:, col])
+        hit = hit[hit != row]
+        if hit.size:
+            r[hit, col:] = (r[hit, col:] - np.outer(r[hit, col], pivot_row)) % p
         pivots.append(col)
         row += 1
     return r, pivots
@@ -60,13 +67,12 @@ def nullspace(a, p: int) -> np.ndarray:
     """
     r, pivots = rref(a, p)
     cols = r.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[i, f])) % p
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = (-r[: len(pivots)][:, free]) % p
     return basis
 
 

@@ -172,7 +172,6 @@ def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
     """
     shape = as_partition(tuple(len(row) for row in t))
     _check_cap(sum(shape), cap)
-    _, index = _tabloids(shape)
     return _polytabloid_vector(t, shape, p)
 
 
@@ -271,8 +270,14 @@ def _build_specht_data(shape: Partition, p: int) -> SpechtData:
 
 def rad_dim(shape: Partition, p: int, cap: int | None = None) -> int:
     """Dimension of the form's radical in S^shape: dim - rank(gram)."""
-    data = specht_data(shape, p, cap)
-    return data.rep.dim - ffla.rank(data.gram, p)
+    specht_data(shape, p, cap)
+    return _rad_kernel(as_partition(shape), p).shape[1]
+
+
+@lru_cache(maxsize=None)
+def _rad_kernel(shape: Partition, p: int) -> np.ndarray:
+    """Basis of the form's radical (the Gram kernel), as columns."""
+    return ffla.nullspace(_specht_data(shape, p).gram, p)
 
 
 def rad_subrep(shape: Partition, p: int, cap: int | None = None) -> SymRep:
@@ -284,7 +289,7 @@ def rad_subrep(shape: Partition, p: int, cap: int | None = None) -> SymRep:
 @lru_cache(maxsize=None)
 def _rad_subrep(shape: Partition, p: int) -> SymRep:
     data = _specht_data(shape, p)
-    kernel = ffla.nullspace(data.gram, p)
+    kernel = _rad_kernel(shape, p)
     r = kernel.shape[1]
     if r == 0:
         return SymRep(degree=data.rep.degree, dim=0, p=p, gens=tuple(
@@ -312,27 +317,20 @@ def simple_head(shape: Partition, p: int, cap: int | None = None) -> SymRep:
 def _simple_head(shape: Partition, p: int) -> SymRep:
     data = _specht_data(shape, p)
     d = data.rep.dim
-    kernel = ffla.nullspace(data.gram, p)
+    kernel = _rad_kernel(shape, p)
     r = kernel.shape[1]
     q = d - r
     if r == 0:
         return data.rep
     # Greedy completion of the radical to a basis by unit vectors; the head
     # action is read off in the first block of the combined coordinates.
-    chosen: list[int] = []
-    cur = kernel
-    for e in range(d):
-        if len(chosen) == q:
-            break
-        unit = np.zeros((d, 1), dtype=np.int64)
-        unit[e, 0] = 1
-        cand = np.hstack([cur, unit])
-        if ffla.rank(cand, p) == cand.shape[1]:
-            chosen.append(e)
-            cur = cand
-    comp = np.zeros((d, q), dtype=np.int64)
-    for k, e in enumerate(chosen):
-        comp[e, k] = 1
+    # e_j is skipped iff it lies in span(radical, e_0..e_{j-1}), that is iff
+    # some radical vector has its last nonzero entry at j: a pivot of the
+    # radical's coordinates read right to left.
+    _, last = ffla.rref(kernel.T[:, ::-1], p)
+    skipped = np.zeros(d, dtype=bool)
+    skipped[d - 1 - np.array(last, dtype=np.int64)] = True
+    comp = np.eye(d, dtype=np.int64)[:, ~skipped]
     full = np.hstack([comp, kernel])
     gens = []
     for a in data.rep.gens:
@@ -344,11 +342,15 @@ def _simple_head(shape: Partition, p: int) -> SymRep:
 
 
 def hom_space(v: SymRep, w: SymRep) -> HomSpace:
-    """All equivariant maps f: V -> W, solved as one linear system.
+    """All equivariant maps f: V -> W, a few generators at a time.
 
-    A matrix F intertwines iff F A_i = B_i F for every generator pair; the
-    stacked Kronecker system (A_i^T kron I) - (I kron B_i) applied to
-    column-major vec(F) captures exactly that.
+    A matrix F intertwines iff F A_i = B_i F for every generator pair.  The
+    solutions are kept as a basis K of column-major vec(F).  The pairwise
+    commuting generators s_1, s_3, s_5, ... are handled at once, from the
+    joint eigenvectors of their actions; each remaining generator cuts K
+    to K . null(M_i K), where column j of M_i K is vec(F_j A_i - B_i F_j)
+    for the map F_j of column j.  The basis returned is the canonical one,
+    the identity on the free coordinates of the solution space.
     """
     if v.degree != w.degree:
         raise ValueError(f"group degrees differ: {v.degree} vs {w.degree}")
@@ -357,20 +359,68 @@ def hom_space(v: SymRep, w: SymRep) -> HomSpace:
     p = v.p
     if v.dim == 0 or w.dim == 0:
         return HomSpace(dim=0, maps=())
-    if not v.gens:
-        eye = np.eye(w.dim * v.dim, dtype=np.int64)
-        maps = tuple(eye[:, k].reshape((w.dim, v.dim), order="F") for k in range(eye.shape[1]))
-        return HomSpace(dim=len(maps), maps=maps)
-    iv = np.eye(v.dim, dtype=np.int64)
-    iw = np.eye(w.dim, dtype=np.int64)
-    blocks = [
-        (np.kron(a.T, iw) - np.kron(iv, b)) % p for a, b in zip(v.gens, w.gens)
-    ]
-    kernel = ffla.nullspace(np.vstack(blocks), p)
+    basis = _commuting_intertwiners(v, w)
+    pairs = zip(v.gens[1::2], w.gens[1::2])
+    if basis is None:  # not diagonalisable, as in characteristic 2
+        basis = np.eye(w.dim * v.dim, dtype=np.int64)
+        pairs = zip(v.gens, w.gens)
+    for a, b in pairs:
+        if basis.shape[1] == 0:
+            break
+        basis = _cut(basis, a, b, p)
+    # The canonical basis vector of free coordinate c ends in a 1 at c and
+    # is 0 on the other free coordinates: the reduced echelon form of K^T
+    # read right to left.
+    r, pivots = ffla.rref(basis.T[:, ::-1], p)
+    kernel = np.ascontiguousarray(r[: len(pivots)][::-1, ::-1].T)
     maps = tuple(
         kernel[:, k].reshape((w.dim, v.dim), order="F") for k in range(kernel.shape[1])
     )
     return HomSpace(dim=len(maps), maps=maps)
+
+
+def _commuting_intertwiners(v: SymRep, w: SymRep) -> np.ndarray | None:
+    """vec basis of the F with F A_i = B_i F for s_1, s_3, s_5, ...
+
+    These generators commute.  When each is diagonalisable with eigenvalues
+    +-1, the solutions are spanned by the maps y u^T, where y is a joint
+    eigenvector of the B_i and u one of the A_i^T with the same
+    eigenvalues; column-major vec(y u^T) is u kron y.  Otherwise None.
+    """
+    left = _joint_eigenspaces([a.T for a in v.gens[::2]], v.dim, v.p)
+    right = _joint_eigenspaces(w.gens[::2], w.dim, w.p)
+    if left is None or right is None:
+        return None
+    blocks = [np.kron(u, right[signs]) % v.p for signs, u in left.items() if signs in right]
+    return np.hstack(blocks) if blocks else np.zeros((v.dim * w.dim, 0), dtype=np.int64)
+
+
+def _joint_eigenspaces(gens, dim: int, p: int) -> dict[tuple[int, ...], np.ndarray] | None:
+    """Bases of the joint +-1 eigenspaces of commuting matrices, by signs.
+
+    None when the eigenspaces do not add up to the whole space.
+    """
+    spaces = {(): np.eye(dim, dtype=np.int64)}
+    for g in gens:
+        split = {}
+        for signs, u in spaces.items():
+            for e in {1, p - 1}:
+                part = u @ ffla.nullspace((g @ u - e * u) % p, p) % p
+                if part.shape[1]:
+                    split[signs + (e,)] = part
+        spaces = split
+    if sum(u.shape[1] for u in spaces.values()) < dim:
+        return None
+    return spaces
+
+
+def _cut(basis: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The combinations of the basis columns whose maps F satisfy F A = B F."""
+    dv, dw = len(a), len(b)
+    # f[c, r, j] = F_j[r, c], since vec(F) is column-major
+    f = basis.reshape((dv, dw, -1))
+    image = (a.T @ f.reshape((dv, -1))).reshape(f.shape) - b @ f
+    return basis @ ffla.nullspace(image.reshape(basis.shape) % p, p) % p
 
 
 def hom_rad_to_simple(lam: Partition, mu: Partition, p: int, cap: int | None = None) -> int:
@@ -387,7 +437,7 @@ def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = No
     """
     lam = as_partition(lam)
     data = specht_data(lam, p, cap)
-    kernel = ffla.nullspace(data.gram, p)
+    kernel = _rad_kernel(lam, p)
     r = kernel.shape[1]
     if r == 0:
         return False

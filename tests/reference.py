@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the code paths under test: tableau
 counts come from the hook product, rim hooks from explicit border-strip
-removal, ranks from integer minors, and the weight order from enumerating
-root coefficients.
+removal, ranks from integer minors, the weight order from enumerating
+root coefficients, echelon forms from a full dense elimination, and hom
+spaces from one stacked Kronecker system.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+
+import numpy as np
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:
@@ -116,3 +119,65 @@ def weight_le_bruteforce(mu: tuple[int, ...], lam: tuple[int, ...], bound: int) 
         if tuple(vec) == target:
             return True
     return False
+
+
+def rref_dense(a, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p), eliminating every row in full.
+
+    Each pivot subtracts a full outer product from the whole matrix.  Pivots
+    are the first rows with a nonzero entry in each column, left to right.
+    """
+    r = np.array(a, dtype=np.int64) % p
+    rows, cols = r.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(cols):
+        if row == rows:
+            break
+        nz = np.flatnonzero(r[row:, col])
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            r[[row, piv]] = r[[piv, row]]
+        r[row] = r[row] * pow(int(r[row, col]), -1, p) % p
+        colvals = r[:, col].copy()
+        colvals[row] = 0
+        r -= np.outer(colvals, r[row])
+        r %= p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def nullspace_dense(a, p: int) -> np.ndarray:
+    """Right kernel basis from rref_dense: identity on the free columns."""
+    r, pivots = rref_dense(a, p)
+    cols = r.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-int(r[i, f])) % p
+    return basis
+
+
+def hom_space_stacked(v_gens, w_gens, v_dim: int, w_dim: int, p: int) -> tuple[np.ndarray, ...]:
+    """Basis of the maps F with F A_i = B_i F, from one stacked system.
+
+    Stacks the Kronecker blocks (A_i^T kron I) - (I kron B_i), which act on
+    the column-major vec(F), and reads the maps off its kernel basis.
+    """
+    if v_dim == 0 or w_dim == 0:
+        return ()
+    if not v_gens:
+        eye = np.eye(w_dim * v_dim, dtype=np.int64)
+        return tuple(eye[:, k].reshape((w_dim, v_dim), order="F") for k in range(eye.shape[1]))
+    iv = np.eye(v_dim, dtype=np.int64)
+    iw = np.eye(w_dim, dtype=np.int64)
+    blocks = [(np.kron(a.T, iw) - np.kron(iv, b)) % p for a, b in zip(v_gens, w_gens)]
+    kernel = nullspace_dense(np.vstack(blocks), p)
+    return tuple(
+        kernel[:, k].reshape((w_dim, v_dim), order="F") for k in range(kernel.shape[1])
+    )

@@ -87,3 +87,33 @@ def test_rref_is_idempotent_and_deterministic():
     assert np.array_equal(r1, r2) and piv1 == piv2
     r3, piv3 = ffla.rref(a, 5)
     assert np.array_equal(r1, r3) and piv1 == piv3
+
+
+@st.composite
+def shaped_matrices(draw, kind):
+    """Random, tall, or rank-deficient matrices mod a small prime."""
+    p = draw(st.sampled_from(PRIMES))
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.integers(cols, 4 * cols)) if kind == "tall" else draw(st.integers(1, 8))
+
+    def block(r, c):
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=np.int64).reshape(r, c)
+
+    if kind == "deficient":
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        return block(rows, k) @ block(k, cols) % p, p
+    return block(rows, cols), p
+
+
+@pytest.mark.parametrize("kind", ["random", "tall", "deficient"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_rref_and_nullspace_match_dense_reference(kind, data):
+    a, p = data.draw(shaped_matrices(kind))
+    r, pivots = ffla.rref(a, p)
+    want_r, want_pivots = reference.rref_dense(a, p)
+    assert pivots == want_pivots
+    assert r.dtype == want_r.dtype and r.tobytes() == want_r.tobytes()
+    basis, want_basis = ffla.nullspace(a, p), reference.nullspace_dense(a, p)
+    assert basis.shape == want_basis.shape and basis.tobytes() == want_basis.tobytes()

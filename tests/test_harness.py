@@ -58,6 +58,13 @@ def test_sweep_sym_image_row_over_gf3_m6():
     assert rad["(3,3)"].observed == "rad_dim=4"
 
 
+@pytest.mark.filterwarnings("ignore:degree 8 builds permutation modules:UserWarning")
+def test_sweep_sym_degree_8_over_gf3():
+    report = harness.sweep_sym(3, 8, cap=8)
+    assert report.mismatches == 0
+    assert any(r.status == MATCH and r.check == "ext1" for r in report.rows)
+
+
 def test_sweep_sym_rejects_even_or_composite_p():
     with pytest.raises(ValueError):
         harness.sweep_sym(2, 4)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csext import (
     enum_partitions,
@@ -199,3 +200,28 @@ def test_tilde_image_hits_radical():
         nu = tilde(lam, p)
         assert hom_space(specht_data(nu, p).rep, specht_data(lam, p).rep).dim >= 1
         assert image_equals_rad(nu, lam, p) is True
+
+
+@st.composite
+def small_reps(draw, m, p):
+    """A Specht module, its radical, or (p-regular shapes) its simple head."""
+    lam = draw(st.sampled_from(enum_partitions(m)))
+    kinds = ["specht", "radical"] + (["head"] if is_p_regular(lam, p) else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "specht":
+        return specht_data(lam, p).rep
+    return rad_subrep(lam, p) if kind == "radical" else simple_head(lam, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hom_space_matches_stacked_reference(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 5))
+    v, w = data.draw(small_reps(m, p)), data.draw(small_reps(m, p))
+    homs = hom_space(v, w)
+    want = reference.hom_space_stacked(v.gens, w.gens, v.dim, w.dim, p)
+    assert homs.dim == len(want) == len(homs.maps)
+    for got, exp in zip(homs.maps, want):
+        assert got.shape == exp.shape and got.dtype == exp.dtype
+        assert got.tobytes() == exp.tobytes()
