@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -71,6 +72,7 @@ def parse_primes(text: str) -> list[int]:
     return [parse_prime(tok) for tok in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> Parser:
     parser = Parser(prog="csext", description=__doc__)
     parser.add_argument("--version", action="version", version=f"csext {__version__}")
@@ -292,9 +294,8 @@ def cmd_table(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "ext":
             return cmd_ext(args)
         if args.command == "inspect":

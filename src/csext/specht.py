@@ -3,9 +3,10 @@
 Builds the tabloid permutation module M^lam, the Specht module S^lam in its
 standard polytabloid basis, the Gram matrix of the invariant bilinear form
 (tabloids orthonormal), the radical of that form, the simple head D^lam, and
-spaces of module homomorphisms.  Everything is a dense integer matrix mod p;
-straightening is done by linear solves against the standard basis rather
-than relation rewriting.
+spaces of module homomorphisms.  Everything is a dense integer matrix mod p.
+Tabloids are integer codes, each polytabloid is one signed scatter over the
+column group, and the generators come from one square solve on the rows at
+the tabloids of the standard tableaux, with no straightening relations.
 
 The symmetric group acts on the left on tableau entries; a representation is
 stored as one matrix per adjacent transposition s_i = (i, i+1), i = 1..m-1,
@@ -15,14 +16,13 @@ acting on column vectors.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import ffla
-from .combinatorics import Partition, as_partition, is_p_regular
+from .combinatorics import Partition, as_partition, conjugate, is_p_regular
 
 DEFAULT_DEGREE_CAP = 7
 
@@ -40,12 +40,6 @@ def _check_cap(m: int, cap: int | None) -> None:
         raise DegreeCapError(
             f"degree {m} exceeds the cap {limit}; raise it explicitly (cap=8 "
             f"builds tabloid spaces up to 8! = 40320)"
-        )
-    if m > DEFAULT_DEGREE_CAP:
-        warnings.warn(
-            f"degree {m} builds permutation modules of dimension up to {m}!; "
-            f"expect high memory use",
-            stacklevel=3,
         )
 
 
@@ -67,9 +61,9 @@ class SymRep:
 class SpechtData:
     """S^shape over GF(p): standard basis, invariant form and action.
 
-    basis holds the standard polytabloids as columns in tabloid coordinates;
-    gram is the matrix of the invariant form on that basis; rep carries the
-    generator action expressed in the same basis.
+    basis holds the standard polytabloids as columns, mod p, in canonical
+    tabloid coordinates; gram is the matrix of the invariant form on that
+    basis; rep carries the generator action expressed in the same basis.
     """
 
     shape: Partition
@@ -124,45 +118,61 @@ def tabloid_basis(shape: Partition, cap: int | None = None) -> list[Tabloid]:
     m!/prod(shape_i!) of them.
     """
     shape = as_partition(shape)
-    _check_cap(sum(shape), cap)
-    return list(_tabloids(shape)[0])
+    m, k = sum(shape), len(shape)
+    _check_cap(m, cap)
+    words = _tabloids(shape)[0][:, None] // k ** np.arange(m) % k
+    entries = np.argsort(words, axis=1, kind="stable") + 1
+    bounds = list(itertools.accumulate((0,) + shape))
+    return [tuple(tuple(e[a:b]) for a, b in zip(bounds, bounds[1:])) for e in entries.tolist()]
 
 
 @lru_cache(maxsize=None)
-def _tabloids(shape: Partition) -> tuple[tuple[Tabloid, ...], dict[Tabloid, int]]:
-    m = sum(shape)
-    out: list[Tabloid] = []
-    acc: list[tuple[int, ...]] = []
+def _tabloids(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Tabloid codes in canonical order, and the argsort that looks them up.
 
-    def rec(i: int, remaining: tuple[int, ...]) -> None:
-        if i == len(shape):
-            out.append(tuple(acc))
-            return
-        for combo in itertools.combinations(remaining, shape[i]):
-            chosen = set(combo)
-            acc.append(combo)
-            rec(i + 1, tuple(x for x in remaining if x not in chosen))
-            acc.pop()
-
-    rec(0, tuple(range(1, m + 1)))
-    if not shape:
-        out = [()]
-    tabs = tuple(out)
-    return tabs, {t: k for k, t in enumerate(tabs)}
-
-
-def _perm_sign(positions: tuple[int, ...]) -> int:
-    sign = 1
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            if positions[a] > positions[b]:
-                sign = -sign
-    return sign
+    A tabloid's code is its row-assignment word: the row of entry x is the
+    digit of weight k**(x-1), k = len(shape).  The order is row by row, each
+    row's entries taken by itertools.combinations of those left.
+    """
+    m, k = sum(shape), len(shape)
+    if k**m >= 2**63:
+        raise DegreeCapError(f"tabloid codes of {shape} reach {k}^{m}, beyond 64-bit integers")
+    weights = k ** np.arange(m, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    left = np.arange(m)[None, :]  # entries not yet placed, as digit positions
+    for row, size in enumerate(shape):
+        n = left.shape[1]
+        combos = list(itertools.combinations(range(n), size))
+        chosen = np.array(combos, dtype=np.int64)
+        rest = np.array([[j for j in range(n) if j not in c] for c in combos], dtype=np.int64)
+        codes = (codes[:, None] + row * weights[left[:, chosen]].sum(axis=2)).ravel()
+        left = left[:, rest].reshape(len(codes), n - size)
+    return codes, np.argsort(codes)
 
 
-def _tableau_columns(t: Tableau) -> list[tuple[int, ...]]:
-    ncols = len(t[0]) if t else 0
-    return [tuple(row[c] for row in t if len(row) > c) for c in range(ncols)]
+def _tabloid_index(shape: Partition, codes: np.ndarray) -> np.ndarray:
+    """Positions in the canonical tabloid list of the given tabloid codes."""
+    canon, order = _tabloids(shape)
+    return order[np.searchsorted(canon, codes, sorter=order)]
+
+
+def _column_group(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The column group as row assignments of the cells, with signs.
+
+    Cells are listed column by column, top to bottom.  Row g holds the row
+    that group element g sends each cell's entry to; each column's rows are
+    permuted among themselves, and the sign is the parity of the inversions.
+    Row 0 is the identity.
+    """
+    heights = conjugate(shape)
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for h in heights:
+        perms = itertools.chain.from_iterable(itertools.permutations(range(h)))
+        perms = np.fromiter(perms, dtype=np.int8).reshape(-1, h)
+        rows = np.hstack([np.repeat(rows, len(perms), axis=0), np.tile(perms, (len(rows), 1))])
+    column = np.repeat(np.arange(len(heights)), heights)
+    a, b = np.nonzero(np.triu(column[:, None] == column, 1))  # cell pairs sharing a column
+    return rows, 1 - 2 * ((rows[:, a] > rows[:, b]).sum(axis=1) % 2)
 
 
 def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
@@ -172,34 +182,27 @@ def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
     """
     shape = as_partition(tuple(len(row) for row in t))
     _check_cap(sum(shape), cap)
-    return _polytabloid_vector(t, shape, p)
+    return _polytabloids((t,), shape, p)[0].ravel()
 
 
-def _polytabloid_vector(t: Tableau, shape: Partition, p: int) -> np.ndarray:
-    tabs, index = _tabloids(shape)
-    v = np.zeros(len(tabs), dtype=np.int64)
-    columns = _tableau_columns(t)
-    col_positions = [{x: k for k, x in enumerate(col)} for col in columns]
-    for perms in itertools.product(*(itertools.permutations(col) for col in columns)):
-        sign = 1
-        mapping: dict[int, int] = {}
-        for col, perm, pos in zip(columns, perms, col_positions):
-            sign *= _perm_sign(tuple(pos[x] for x in perm))
-            mapping.update(zip(col, perm))
-        tabloid = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in t)
-        v[index[tabloid]] += sign
-    return v % p
+def _polytabloids(tableaux, shape: Partition, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Polytabloids of the tableaux as matrix columns, and the rows of their {t}."""
+    rows, signs = _column_group(shape)
+    cells = [[t[r][c] for c, h in enumerate(conjugate(shape)) for r in range(h)] for t in tableaux]
+    weights = len(shape) ** (np.array(cells, dtype=np.int64).reshape(len(tableaux), -1) - 1)
+    index = _tabloid_index(shape, weights @ rows.T)
+    # The tabloids of one column-group sum are distinct, so one assignment
+    # writes every signed term.
+    out = np.zeros((len(_tabloids(shape)[0]), len(tableaux)), dtype=np.int64)
+    out[index, np.arange(len(tableaux))[:, None]] = signs % p
+    return out, index[:, 0]
 
 
-@lru_cache(maxsize=None)
 def _tabloid_perm(shape: Partition, i: int) -> np.ndarray:
     """Index permutation of the canonical tabloid list under s_i = (i, i+1)."""
-    tabs, index = _tabloids(shape)
-    swap = {i: i + 1, i + 1: i}
-    out = np.empty(len(tabs), dtype=np.int64)
-    for k, tab in enumerate(tabs):
-        out[k] = index[tuple(tuple(sorted(swap.get(x, x) for x in row)) for row in tab)]
-    return out
+    codes, k = _tabloids(shape)[0], len(shape)
+    lo, hi = k ** (i - 1), k**i
+    return _tabloid_index(shape, codes + (codes // hi % k - codes // lo % k) * (lo - hi))
 
 
 def gen_action_on_tabloids(shape: Partition, i: int, p: int, cap: int | None = None) -> np.ndarray:
@@ -243,25 +246,20 @@ def _install(data: SpechtData) -> None:
 def _build_specht_data(shape: Partition, p: int) -> SpechtData:
     m = sum(shape)
     std = _standard_tableaux(shape)
-    tabs, _ = _tabloids(shape)
-    basis = np.zeros((len(tabs), len(std)), dtype=np.int64)
-    for k, t in enumerate(std):
-        basis[:, k] = _polytabloid_vector(t, shape, p)
+    basis, rows = _polytabloids(std, shape, p)
     gram = basis.T @ basis % p
-    gens = []
-    for i in range(1, m):
-        perm = _tabloid_perm(shape, i)
-        moved = basis[perm]
-        coeffs = ffla.solve_in_span(basis, moved, p)
-        if coeffs is None:
-            raise AssertionError  # pragma: no cover - submodule property
-        gens.append(coeffs)
-    rep = SymRep(degree=m, dim=len(std), p=p, gens=tuple(gens))
+    # Standard Basis Theorem: the rows at the tabloids {t} of the standard
+    # tableaux t are invertible, so one square solve gives every generator.
+    gens: tuple[np.ndarray, ...] = ()
+    if m > 1:
+        moved = np.hstack([basis[_tabloid_perm(shape, i)[rows]] for i in range(1, m)])
+        gens = tuple(np.hsplit(ffla.solve_in_span(basis[rows], moved, p), m - 1))
+    rep = SymRep(degree=m, dim=len(std), p=p, gens=gens)
     return SpechtData(
         shape=shape,
         p=p,
         std_tableaux=std,
-        tabloid_count=len(tabs),
+        tabloid_count=basis.shape[0],
         basis=basis,
         gram=gram,
         rep=rep,

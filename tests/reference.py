@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: tableau
 counts come from the hook product, rim hooks from explicit border-strip
 removal, ranks from integer minors, the weight order from enumerating
-root coefficients, echelon forms from a full dense elimination, and hom
-spaces from one stacked Kronecker system.
+root coefficients, echelon forms from a full dense elimination, hom
+spaces from one stacked Kronecker system, and Specht modules from tabloids
+as tuples of sorted rows, one column permutation at a time, with each
+generator solved against the whole tall basis.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 from math import factorial
 
 import numpy as np
+
+from csext import ffla
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:
@@ -181,3 +185,88 @@ def hom_space_stacked(v_gens, w_gens, v_dim: int, w_dim: int, p: int) -> tuple[n
     return tuple(
         kernel[:, k].reshape((w_dim, v_dim), order="F") for k in range(kernel.shape[1])
     )
+
+
+def standard_tableaux_bruteforce(shape: tuple[int, ...]) -> tuple:
+    """Standard tableaux by filtering every filling, sorted by row words."""
+    m = sum(shape)
+    bounds = list(itertools.accumulate((0,) + tuple(shape)))
+    out = []
+    for word in itertools.permutations(range(1, m + 1)):
+        t = tuple(word[a:b] for a, b in zip(bounds, bounds[1:]))
+        rows_ok = all(list(row) == sorted(row) for row in t)
+        cols_ok = all(t[i][j] > t[i - 1][j] for i in range(1, len(t)) for j in range(len(t[i])))
+        if rows_ok and cols_ok:
+            out.append(t)
+    return tuple(sorted(out))
+
+
+def tabloids_reference(shape: tuple[int, ...]) -> tuple:
+    """Tabloids as tuples of sorted rows, in the canonical order: row by
+    row, each row's entries taken by itertools.combinations of those left."""
+    out: list = []
+    acc: list = []
+
+    def rec(i: int, remaining: tuple[int, ...]) -> None:
+        if i == len(shape):
+            out.append(tuple(acc))
+            return
+        for combo in itertools.combinations(remaining, shape[i]):
+            acc.append(combo)
+            rec(i + 1, tuple(x for x in remaining if x not in combo))
+            acc.pop()
+
+    rec(0, tuple(range(1, sum(shape) + 1)))
+    return tuple(out)
+
+
+def _perm_sign(positions: tuple[int, ...]) -> int:
+    sign = 1
+    for a in range(len(positions)):
+        for b in range(a + 1, len(positions)):
+            if positions[a] > positions[b]:
+                sign = -sign
+    return sign
+
+
+def polytabloid_reference(t, index: dict, p: int) -> np.ndarray:
+    """Signed column-group sum of tabloids, one column permutation at a time."""
+    v = np.zeros(len(index), dtype=np.int64)
+    ncols = len(t[0]) if t else 0
+    columns = [tuple(row[c] for row in t if len(row) > c) for c in range(ncols)]
+    col_positions = [{x: k for k, x in enumerate(col)} for col in columns]
+    for perms in itertools.product(*(itertools.permutations(col) for col in columns)):
+        sign = 1
+        mapping: dict[int, int] = {}
+        for col, perm, pos in zip(columns, perms, col_positions):
+            sign *= _perm_sign(tuple(pos[x] for x in perm))
+            mapping.update(zip(col, perm))
+        tabloid = tuple(tuple(sorted(mapping.get(x, x) for x in row)) for row in t)
+        v[index[tabloid]] += sign
+    return v % p
+
+
+def specht_data_reference(shape: tuple[int, ...], p: int) -> dict:
+    """S^shape over GF(p): tabloids, standard tableaux, basis, Gram matrix and
+    generators, each generator solved against the full tabloid-coordinate
+    basis."""
+    m = sum(shape)
+    std = standard_tableaux_bruteforce(shape)
+    tabs = tabloids_reference(shape)
+    index = {t: k for k, t in enumerate(tabs)}
+    basis = np.zeros((len(tabs), len(std)), dtype=np.int64)
+    for k, t in enumerate(std):
+        basis[:, k] = polytabloid_reference(t, index, p)
+    gens = []
+    for i in range(1, m):
+        swap = {i: i + 1, i + 1: i}
+        perm = [index[tuple(tuple(sorted(swap.get(x, x) for x in row)) for row in tab)]
+                for tab in tabs]
+        gens.append(ffla.solve_in_span(basis, basis[perm], p))
+    return {
+        "tabloids": tabs,
+        "std_tableaux": std,
+        "basis": basis,
+        "gram": basis.T @ basis % p,
+        "gens": tuple(gens),
+    }

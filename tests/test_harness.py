@@ -58,7 +58,6 @@ def test_sweep_sym_image_row_over_gf3_m6():
     assert rad["(3,3)"].observed == "rad_dim=4"
 
 
-@pytest.mark.filterwarnings("ignore:degree 8 builds permutation modules:UserWarning")
 def test_sweep_sym_degree_8_over_gf3():
     report = harness.sweep_sym(3, 8, cap=8)
     assert report.mismatches == 0

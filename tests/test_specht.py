@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,9 +56,16 @@ def test_tabloid_counts():
 def test_degree_cap():
     with pytest.raises(DegreeCapError):
         specht_data((8,), 3)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         data = specht_data((8,), 3, cap=8)
     assert data.rep.dim == 1
+    # Tabloid codes are base-len(shape) integers and must fit in int64.
+    with pytest.raises(DegreeCapError):
+        specht_data((62, 1), 3, cap=63)
+    wide = specht_data((61, 1), 3, cap=62)
+    assert wide.rep.dim == 61 and wide.tabloid_count == 62
+    assert satisfies_relations(wide.rep)
 
 
 def test_polytabloid_examples():
@@ -69,6 +77,42 @@ def test_polytabloid_examples():
     v = polytabloid(t, 7)
     assert np.count_nonzero(v) == 2
     assert sorted(v[v != 0].tolist()) == [1, 6]
+
+
+def _same_array(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_specht_data_matches_reference_builder(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    lam = data.draw(st.sampled_from(enum_partitions(data.draw(st.integers(0, 7)))))
+    got = specht_data(lam, p)
+    want = reference.specht_data_reference(lam, p)
+    assert got.tabloid_count == len(want["tabloids"])
+    assert tuple(tabloid_basis(lam)) == want["tabloids"]
+    assert got.std_tableaux == want["std_tableaux"]
+    assert _same_array(got.basis, want["basis"])
+    assert _same_array(got.gram, want["gram"])
+    assert len(got.rep.gens) == len(want["gens"])
+    assert all(_same_array(g, w) for g, w in zip(got.rep.gens, want["gens"]))
+    for k, t in enumerate(got.std_tableaux):
+        assert _same_array(polytabloid(t, p), got.basis[:, k])
+
+
+def test_standard_rows_have_unit_diagonal_and_full_rank():
+    # The rows at the tabloids {t} of the standard tableaux t: the
+    # generators come from one square solve on them, which needs them
+    # invertible (James's Standard Basis Theorem).
+    for m in range(0, 8):
+        for lam in enum_partitions(m):
+            position = {tab: k for k, tab in enumerate(tabloid_basis(lam))}
+            rows = [position[tuple(tuple(sorted(r)) for r in t)] for t in standard_tableaux(lam)]
+            for p in PRIMES:
+                square = specht_data(lam, p).basis[rows]
+                assert (np.diag(square) == 1).all(), (lam, p)
+                assert ffla.rank(square, p) == len(square), (lam, p)
 
 
 def test_gen_action_is_permutation():
