@@ -1,7 +1,7 @@
 """Command-line front door: oracle queries, inspection, tables and sweeps.
 
 Exit codes: 0 success or all rows matched, 1 usage error, 2 out-of-scope
-query, 3 verification mismatch.
+query, 3 verification mismatch, 4 input refused at an engine limit.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
 from . import combinatorics as comb
 from . import harness
 from ._version import __version__
-from .errors import ScopeError, ScopeReason
+from .errors import EngineLimitError, ScopeError, ScopeReason
 from .oracle import ext1_gl, ext1_sym, is_prime
 
 CACHE_ENV = "CSEXT_CACHE_DIR"
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SCOPE = 2
 EXIT_MISMATCH = 3
+EXIT_LIMIT = 4
 
 
 class UsageError(Exception):
@@ -258,6 +260,9 @@ def cmd_table(args) -> int:
     else:
         if args.max_entry is None:
             raise UsageError("table --n requires --max-entry")
+        if args.n < 0 or args.max_entry < 0:
+            raise UsageError("table --n and --max-entry must be nonnegative")
+        harness.check_weight_count(math.comb(args.n + args.max_entry, args.n), "table --n")
         for w in comb.enum_dominant_weights_bounded(args.n, args.max_entry):
             if comb.is_p_restricted(w, p):
                 rows.append(_weight_attributes(w, p))
@@ -311,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScopeError as e:
         print(f"out-of-scope: {e}", file=sys.stderr)
         return EXIT_SCOPE
+    except EngineLimitError as e:
+        print(f"engine limit: {e}", file=sys.stderr)
+        return EXIT_LIMIT
     except ValueError as e:
         # covers malformed library inputs and the degree cap
         print(f"usage error: {e}", file=sys.stderr)

@@ -51,7 +51,7 @@ def is_dominant(w: Sequence[int]) -> bool:
 
 
 def check_dominant(w: Sequence[int]) -> Weight:
-    t = tuple(int(x) for x in w)
+    t = tuple(map(int, w))
     if not is_dominant(t):
         raise ValueError(f"weight is not dominant (not weakly decreasing): {t}")
     return t
@@ -119,8 +119,61 @@ def _part_multiplicities(lam: Partition) -> Iterator[int]:
 
 def is_p_restricted(w: Weight, p: int) -> bool:
     """All consecutive differences of a dominant weight are < p."""
-    w = check_dominant(w)
-    return all(w[i] - w[i + 1] < p for i in range(len(w) - 1))
+    return _restricted(check_dominant(w), p)
+
+
+# The private cores below trust their input: a dominant weight as a tuple or
+# list of ints, and for _hat a big one.  The public predicates validate once
+# and then call them; callers that validated already may call them directly.
+
+
+def _restricted(w: Sequence[int], p: int) -> bool:
+    return all(a - b < p for a, b in zip(w, w[1:]))
+
+
+def _ends(w: Sequence[int]) -> tuple[int, int] | None:
+    """First and last removable rows (1-based), or None if w is constant.
+
+    In a dominant weight the entries equal to w_1 form a prefix and those
+    equal to w_n a suffix, so both ends are counts.
+    """
+    if not w:
+        return None
+    i = w.count(w[0])
+    if i == len(w):
+        return None
+    return i, len(w) - w.count(w[-1])
+
+
+def _psi(w: Sequence[int]) -> int:
+    ends = _ends(w)
+    if ends is None:
+        return 0
+    i, j = ends
+    return j - i + w[i - 1] - w[j]
+
+
+def _big(w: Sequence[int], p: int) -> bool:
+    ends = _ends(w)
+    if ends is None:
+        return False
+    i, j = ends
+    gap = w[i - 1] - w[j]
+    return j - i + gap <= p and gap > 1 and j - 1 + gap >= p and i - gap + p + 1 <= len(w)
+
+
+def _hat(w: Sequence[int], p: int) -> Weight:
+    i, j = _ends(w)
+    gap = w[i - 1] - w[j]
+    count = i - j - gap + p + 1
+    base = j + gap - p - 1
+    out = list(w)
+    # Rows base+1..i lose a node and rows j+1..j+count gain one; base + count = i.
+    for k in range(base, i):
+        out[k] -= 1
+    for k in range(j, j + count):
+        out[k] += 1
+    return tuple(out)
 
 
 def chi(lam: Partition) -> int:
@@ -149,12 +202,7 @@ def removable_rows(w: Weight) -> RemovableRows:
 
 def psi(w: Weight) -> int:
     """j - i + w_i - w_{j+1} over the extreme removable rows i, j; 0 if none."""
-    w = check_dominant(w)
-    rr = removable_rows(w)
-    if rr.i_min is None:
-        return 0
-    i, j = rr.i_min, rr.j_max
-    return j - i + w[i - 1] - w[j]
+    return _psi(check_dominant(w))
 
 
 def is_cs_partition(lam: Partition, p: int) -> bool:
@@ -168,12 +216,12 @@ def is_cs_partition(lam: Partition, p: int) -> bool:
 def is_cs_weight(w: Weight, p: int) -> bool:
     """Complete splittability test for p-restricted dominant weights: psi <= p."""
     w = check_dominant(w)
-    if not is_p_restricted(w, p):
+    if not _restricted(w, p):
         raise ScopeError(
             ScopeReason.NOT_P_RESTRICTED,
             f"the psi criterion applies to p-restricted weights only, got {w} at p={p}",
         )
-    return psi(w) <= p
+    return _psi(w) <= p
 
 
 def has_rim_p_hook(lam: Partition, p: int) -> bool:
@@ -202,24 +250,17 @@ def is_big_weight(w: Weight, p: int) -> bool:
       2. w_i - w_{j+1} > 1,  j - 1 + w_i - w_{j+1} >= p,  and
          i - w_i + w_{j+1} + p + 1 <= n.
     """
+    return _big(_check_restricted(w, p), p)
+
+
+def _check_restricted(w: Weight, p: int) -> Weight:
     w = check_dominant(w)
-    if not is_p_restricted(w, p):
+    if not _restricted(w, p):
         raise ScopeError(
             ScopeReason.NOT_P_RESTRICTED,
             f"bigness is defined for p-restricted weights only, got {w} at p={p}",
         )
-    rr = removable_rows(w)
-    if rr.i_min is None:
-        return False
-    i, j = rr.i_min, rr.j_max
-    n = len(w)
-    gap = w[i - 1] - w[j]
-    return (
-        j - i + gap <= p
-        and gap > 1
-        and j - 1 + gap >= p
-        and i - w[i - 1] + w[j] + p + 1 <= n
-    )
+    return w
 
 
 def hat(w: Weight, p: int) -> Weight:
@@ -230,21 +271,12 @@ def hat(w: Weight, p: int) -> Weight:
     result is dominant, has the same entry sum and sits strictly below w in
     the weight order.
     """
-    w = check_dominant(w)
-    if not is_big_weight(w, p):
+    w = _check_restricted(w, p)
+    if not _big(w, p):
         raise ScopeError(
             ScopeReason.NOT_BIG, f"the node move is defined for big weights only, got {w} at p={p}"
         )
-    rr = removable_rows(w)
-    i, j = rr.i_min, rr.j_max
-    gap = w[i - 1] - w[j]
-    count = i - j - gap + p + 1
-    base = j + gap - p - 1
-    out = list(w)
-    for k in range(1, count + 1):
-        out[base + k - 1] -= 1
-        out[j + k - 1] += 1
-    return tuple(out)
+    return _hat(w, p)
 
 
 def tilde(lam: Partition, p: int) -> Partition:

@@ -1,4 +1,5 @@
-"""Typed refusals for queries outside the hypotheses of the closed-form criteria."""
+"""Typed refusals: queries outside the hypotheses of the closed-form criteria,
+and inputs beyond an engine limit."""
 
 from __future__ import annotations
 
@@ -28,3 +29,11 @@ class ScopeError(Exception):
         super().__init__(f"{reason.value}: {message}")
         self.reason = reason
         self.message = message
+
+
+class EngineLimitError(Exception):
+    """Raised before work starts when an input would exceed an engine limit.
+
+    Unlike a ScopeError the question is meaningful; answering it would just
+    take more time or memory than the limit allows.
+    """

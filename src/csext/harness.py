@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import time
 import warnings
 import zipfile
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import combinatorics as comb
 from . import specht
 from ._version import __version__
 from .combinatorics import (
@@ -30,19 +35,13 @@ from .combinatorics import (
     conjugate,
     enum_dominant_weights_bounded,
     enum_partitions,
-    hat,
     is_big_partition,
-    is_big_weight,
-    is_cs_weight,
-    is_dominant,
     is_p_regular,
     is_p_restricted,
-    psi,
     strictly_dominates,
     tilde,
-    weight_lt,
 )
-from .errors import ScopeError, ScopeReason
+from .errors import EngineLimitError, ScopeError, ScopeReason
 from .oracle import ext1_sym, is_prime, rad_specht_prediction
 
 MATCH = "match"
@@ -151,6 +150,19 @@ def _finish(kind: str, config: dict, rows: list[SweepRow], extras: dict, t0: flo
     return Report(__version__, kind, config, rows, summary)
 
 
+COMB_CHUNK = 1024
+DIAGRAM_CELLS = 2**20
+MAX_WEIGHTS = 10**7
+
+
+def check_weight_count(count: int, what: str) -> None:
+    """Refuse, before enumerating anything, a run over more than MAX_WEIGHTS weights."""
+    if count > MAX_WEIGHTS:
+        raise EngineLimitError(
+            f"{what} would enumerate {count:,} weights, over the limit of {MAX_WEIGHTS:,}"
+        )
+
+
 def sweep_comb(primes: list[int], n_max: int, max_entry: int) -> Report:
     """Exhaustive combinatorial invariants over all dominant weights of rank
     <= n_max with entries in [0, max_entry].
@@ -158,110 +170,205 @@ def sweep_comb(primes: list[int], n_max: int, max_entry: int) -> Report:
     Identities that reread the weight as a partition (psi = chi of the
     conjugate, the conjugation bridge to big partitions) apply only to
     weights with last entry 0 and are gated accordingly; everything else is
-    checked on the whole range.  Rows record counterexamples only; a clean
-    sweep has no rows.  Whether the node move of a big weight stays
-    p-restricted is counted in the summary as an empirical observation,
-    never asserted.
+    checked on the whole range.  Rows record counterexamples only, ordered by
+    weight and then by check; a clean sweep has no rows, and no
+    counterexample aborts the sweep.  Whether the node move of a big weight
+    stays p-restricted is counted in the summary (over dominant node moves)
+    as an empirical observation, never asserted.
+
+    The weights of each (p, rank) stream through in chunks of at most
+    COMB_CHUNK rows (fewer when their diagrams would pass DIAGRAM_CELLS
+    cells), and array kernels evaluate restrictedness, psi, bigness and the
+    node move on each chunk and on its translates by +1 and -2; the
+    conjugate partition is counted from the diagram.  On every p-restricted
+    weight the kernels are checked against the scalar cores of
+    `combinatorics`, and on the few weights of the partition bridge the
+    diagram chi against `chi` of the scalar conjugate.  `scalar_agreements`
+    counts the weights where all of them agree; a disagreement is a
+    `kernel_matches_scalar` row.  A run over more than MAX_WEIGHTS weights is
+    refused with EngineLimitError before it starts.
     """
     if n_max < 1 or max_entry < 0:
-        raise ValueError("bounds must be positive")
+        raise ValueError(f"need n_max >= 1 and max_entry >= 0, got {n_max} and {max_entry}")
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
+    # Ranks 1..n_max hold sum_n C(n + max_entry, n) = C(n_max + max_entry + 1, n_max) - 1 weights.
+    check_weight_count(len(primes) * (math.comb(n_max + max_entry + 1, n_max) - 1), "verify comb")
     t0 = time.perf_counter()
     rows: list[SweepRow] = []
-    checks_run = 0
-    weights_checked = 0
-    big_count = 0
-    hat_restricted_count = 0
-
-    def fail(check: str, p: int, n: int, lam: Weight, observed: str) -> None:
-        rows.append(
-            SweepRow(check, p, n, fmt_tuple(lam), None, "invariant holds", observed, MISMATCH)
-        )
-
+    tally = dict.fromkeys(
+        ("weights_checked", "checks_run", "big_weights", "hat_p_restricted", "scalar_agreements"), 0
+    )
+    dtype = np.int16 if max_entry < 2**14 else np.int64
     for p in primes:
         for n in range(1, n_max + 1):
-            for lam in enum_dominant_weights_bounded(n, max_entry):
-                weights_checked += 1
-                m = sum(lam)
-                last_zero = lam[-1] == 0
-                restricted = is_p_restricted(lam, p)
-
-                # Identities that read the weight as a partition need the
-                # last entry to vanish (equivalently, height < rank).
-                if last_zero:
-                    conj = conjugate(as_partition(lam))
-                    checks_run += 1
-                    if restricted != is_p_regular(conj, p):
-                        fail(
-                            "restricted_iff_conjugate_regular", p, n, lam,
-                            f"restricted={restricted}, conjugate regular={not restricted}",
-                        )
-                    if m > 0:
-                        checks_run += 1
-                        if psi(lam) != chi(conj):
-                            fail("psi_chi_conjugate", p, n, lam, f"psi={psi(lam)}, chi={chi(conj)}")
-                if not restricted:
-                    continue
-
-                big = is_big_weight(lam, p)
-                if big:
-                    checks_run += 1
-                    if not is_cs_weight(lam, p):
-                        fail("big_implies_cs", p, n, lam, f"big but psi={psi(lam)} > {p}")
-
-                for c in (1, -2):
-                    shifted = tuple(x + c for x in lam)
-                    checks_run += 2
-                    if psi(shifted) != psi(lam):
-                        fail("psi_translation", p, n, lam, f"c={c}: {psi(shifted)} != {psi(lam)}")
-                    if is_big_weight(shifted, p) != big:
-                        fail("big_translation", p, n, lam, f"c={c}: bigness changed")
-
-                if big:
-                    big_count += 1
-                    h = hat(lam, p)
-                    hat_restricted_count += is_p_restricted(h, p)
-                    checks_run += 3
-                    if not is_dominant(h):
-                        fail("hat_dominant", p, n, lam, f"hat={fmt_tuple(h)} not dominant")
-                    if sum(h) != m:
-                        fail("hat_sum", p, n, lam, f"sum {sum(h)} != {m}")
-                    if not weight_lt(h, lam):
-                        fail("hat_strictly_below", p, n, lam, f"hat={fmt_tuple(h)} not strictly below")
-                    for c in (1, -2):
-                        shifted = tuple(x + c for x in lam)
-                        checks_run += 1
-                        if hat(shifted, p) != tuple(x + c for x in h):
-                            fail("hat_translation", p, n, lam, f"c={c}: node move not equivariant")
-
-                if last_zero and n >= m:
-                    big_part = is_big_partition(conj, p)
-                    checks_run += 1
-                    if big != big_part:
-                        fail(
-                            "big_weight_iff_big_partition", p, n, lam,
-                            f"big weight={big}, big conjugate partition={big_part}",
-                        )
-                    if big and big_part:
-                        checks_run += 1
-                        lhs = conjugate(as_partition(hat(lam, p)))
-                        rhs = tilde(conj, p)
-                        if lhs != rhs:
-                            fail(
-                                "hat_conjugate_is_tilde", p, n, lam,
-                                f"conj(hat)={fmt_tuple(lhs)}, tilde(conj)={fmt_tuple(rhs)}",
-                            )
-
-    extras = {
-        "weights_checked": weights_checked,
-        "checks_run": checks_run,
-        "big_weights": big_count,
-        "hat_p_restricted": hat_restricted_count,
-    }
+            # A chunk's Young diagrams, rank x max_entry cells a weight, stay
+            # within DIAGRAM_CELLS.
+            size = max(1, min(COMB_CHUNK, DIAGRAM_CELLS // (n * max(max_entry, 1))))
+            weights = enum_dominant_weights_bounded(n, max_entry)
+            while True:
+                chunk = np.fromiter(itertools.islice(weights, size), dtype=(dtype, n))
+                if not len(chunk):
+                    break
+                tally["weights_checked"] += len(chunk)
+                rows.extend(_comb_chunk(chunk, p, tally))
     config = {"primes": list(primes), "n_max": n_max, "max_entry": max_entry}
-    return _finish("comb", config, rows, extras, t0)
+    return _finish("comb", config, rows, tally, t0)
+
+
+class _Rules(NamedTuple):
+    """The weight-level rules on the rows of a weight array; hat is the node
+    move on big rows and the weight itself elsewhere."""
+
+    restricted: np.ndarray
+    psi: np.ndarray
+    big: np.ndarray
+    hat: np.ndarray
+
+
+def _rules(w: np.ndarray, p: int) -> _Rules:
+    """is_p_restricted, psi, is_big_weight and hat on every row of an array
+    of dominant weights of one rank (entries of any sign)."""
+    count, n = w.shape
+    if n == 1:
+        return _Rules(np.ones(count, bool), np.zeros(count, np.int64), np.zeros(count, bool), w)
+    drops = w[:, :-1] - w[:, 1:]
+    falls = drops > 0
+    has = falls.any(axis=1)
+    i = falls.argmax(axis=1) + 1
+    j = n - 1 - falls[:, ::-1].argmax(axis=1)
+    rows = np.arange(count)
+    gap = w[rows, i - 1] - w[rows, j]
+    psi = np.where(has, j - i + gap, 0)
+    big = has & (psi <= p) & (gap > 1) & (j - 1 + gap >= p) & (i - gap + p + 1 <= n)
+    # Rows base+1..i lose a node and rows j+1..j+(p+1-psi) gain one.
+    base = j + gap - p - 1
+    cols = np.arange(n)
+    lose = big[:, None] & (cols >= base[:, None]) & (cols < i[:, None])
+    gain = big[:, None] & (cols >= j[:, None]) & (cols < (j + p + 1 - psi)[:, None])
+    return _Rules((drops < p).all(axis=1), psi, big, w - lose + gain)
+
+
+def _comb_chunk(w: np.ndarray, p: int, tally: dict) -> list[SweepRow]:
+    """Run every sweep_comb check on the weights w (one rank) at p, add to
+    the counters in tally and return the mismatch rows."""
+    n = w.shape[1]
+    found: list[tuple[int, int, str, str]] = []  # (row of w, check slot, check, observed)
+    slots = itertools.count()  # slots follow the order in which a weight's checks run
+
+    def flag(check: str, at: np.ndarray, mask: np.ndarray, observed) -> None:
+        slot = next(slots)
+        for k in np.flatnonzero(mask).tolist():
+            found.append((int(at[k]), slot, check, observed(k)))
+
+    m = w.sum(axis=1)
+    last_zero = w[:, -1] == 0
+    rules = _rules(w, p)
+    every = np.arange(len(w))
+
+    # Identities that read the weight as a partition need the last entry to
+    # vanish (equivalently, height < rank).  The conjugate comes from the
+    # diagram: column c holds #{i : lam_i > c} cells.
+    conj = (w[:, :, None] > np.arange(w[:, 0].max())).sum(axis=1, dtype=np.int32)
+    width = conj.shape[1]
+    if width >= p:
+        repeats = (conj[:, : width - p + 1] == conj[:, p - 1 :]) & (conj[:, p - 1 :] > 0)
+        conj_regular = ~repeats.any(axis=1)
+    else:
+        conj_regular = np.ones(len(w), bool)
+    chi_conj = np.zeros(len(w), np.int64)
+    if width:
+        cols = w[:, 0].astype(np.int64)  # lam_1 is the height of the conjugate
+        last = np.take_along_axis(conj, np.maximum(cols - 1, 0)[:, None], axis=1)[:, 0]
+        chi_conj = np.where(m > 0, conj[:, 0] - last + cols, 0)
+    nonzero = last_zero & (m > 0)
+    tally["checks_run"] += int(last_zero.sum() + nonzero.sum())
+    flag("restricted_iff_conjugate_regular", every, last_zero & (rules.restricted != conj_regular),
+         lambda k: f"restricted={bool(rules.restricted[k])}, conjugate regular={not rules.restricted[k]}")
+    flag("psi_chi_conjugate", every, nonzero & (rules.psi != chi_conj),
+         lambda k: f"psi={rules.psi[k]}, chi={chi_conj[k]}")
+
+    at = np.flatnonzero(rules.restricted)
+    wr, mr, psi, big, h = w[at], m[at], rules.psi[at], rules.big[at], rules.hat[at]
+    bigs = int(big.sum())
+    tally["big_weights"] += bigs
+    tally["checks_run"] += bigs + 4 * len(at)
+    flag("big_implies_cs", at, big & (psi > p), lambda k: f"big but psi={psi[k]} > {p}")
+    # The translates go through the kernels again: these checks exist to
+    # catch rules that read absolute entries.
+    shifted = {c: _rules(wr + c, p) for c in (1, -2)}
+    for c, s in shifted.items():
+        flag("psi_translation", at, s.psi != psi, lambda k: f"c={c}: {s.psi[k]} != {psi[k]}")
+        flag("big_translation", at, s.big != big, lambda k: f"c={c}: bigness changed")
+
+    hat_dominant = (h[:, :-1] >= h[:, 1:]).all(axis=1)
+    below = np.cumsum(wr - h, axis=1)
+    strictly_below = (below >= 0).all(axis=1) & (below[:, -1] == 0) & (h != wr).any(axis=1)
+    tally["checks_run"] += 3 * bigs
+    tally["hat_p_restricted"] += sum(is_p_restricted(x, p) for x in h[big & hat_dominant].tolist())
+    flag("hat_dominant", at, big & ~hat_dominant,
+         lambda k: f"hat={fmt_tuple(h[k].tolist())} not dominant")
+    flag("hat_sum", at, big & (h.sum(axis=1) != mr), lambda k: f"sum {h[k].sum()} != {mr[k]}")
+    flag("hat_strictly_below", at, big & ~strictly_below,
+         lambda k: f"hat={fmt_tuple(h[k].tolist())} not strictly below")
+    for c, s in shifted.items():
+        both = big & s.big
+        tally["checks_run"] += int(both.sum())
+        flag("hat_translation", at, both & (s.hat != h + c).any(axis=1),
+             lambda k: f"c={c}: node move not equivariant")
+
+    # Scalar part: the kernels against the scalar cores on every restricted
+    # weight, and the partition bridge on the few weights with n >= m.
+    lams = wr.tolist()
+    scalar_psi = np.array([comb._psi(x) for x in lams], np.int64)
+    scalar_big = np.array([comb._big(x, p) for x in lams], bool)
+    disagree = defaultdict(list)  # row of wr -> "field kernel/scalar" texts
+    for k in np.flatnonzero(scalar_big != big).tolist():
+        disagree[k].append(f"big {bool(big[k])}/{bool(scalar_big[k])}")
+    for k in np.flatnonzero(scalar_psi != psi).tolist():
+        disagree[k].append(f"psi {psi[k]}/{scalar_psi[k]}")
+    for k in np.flatnonzero(big & scalar_big).tolist():
+        kernel_hat, scalar_hat = tuple(h[k].tolist()), comb._hat(lams[k], p)
+        if kernel_hat != scalar_hat:
+            disagree[k].append(f"hat {fmt_tuple(kernel_hat)}/{fmt_tuple(scalar_hat)}")
+    bridge_slot, tilde_slot, kernel_slot = next(slots), next(slots), next(slots)
+    for k in np.flatnonzero(last_zero[at] & (mr <= n)).tolist():
+        conj_k = conjugate(as_partition(lams[k]))
+        if chi(conj_k) != chi_conj[at[k]]:
+            disagree[k].append(f"chi of conjugate {chi_conj[at[k]]}/{chi(conj_k)}")
+        big_part = is_big_partition(conj_k, p)
+        tally["checks_run"] += 1
+        if big[k] != big_part:
+            found.append((int(at[k]), bridge_slot, "big_weight_iff_big_partition",
+                          f"big weight={bool(big[k])}, big conjugate partition={big_part}"))
+        if big[k] and big_part and hat_dominant[k]:
+            tally["checks_run"] += 1
+            observed = _hat_conjugate_vs_tilde(h[k].tolist(), conj_k, p)
+            if observed is not None:
+                found.append((int(at[k]), tilde_slot, "hat_conjugate_is_tilde", observed))
+    for k, parts in disagree.items():
+        found.append((int(at[k]), kernel_slot, "kernel_matches_scalar",
+                      "kernel/scalar " + ", ".join(parts)))
+    tally["scalar_agreements"] += len(at) - len(disagree)
+
+    found.sort(key=lambda f: f[:2])
+    return [
+        SweepRow(check, p, n, fmt_tuple(w[k].tolist()), None, "invariant holds", observed, MISMATCH)
+        for k, _, check, observed in found
+    ]
+
+
+def _hat_conjugate_vs_tilde(h: Weight, conj: Partition, p: int) -> str | None:
+    """The observed text when conj(hat) and tilde(conj) differ, else None."""
+    lhs = conjugate(as_partition(h))
+    try:
+        rhs = tilde(conj, p)
+    except ScopeError as e:
+        return f"conj(hat)={fmt_tuple(lhs)}, tilde refused: {e.reason.value}"
+    if lhs == rhs:
+        return None
+    return f"conj(hat)={fmt_tuple(lhs)}, tilde(conj)={fmt_tuple(rhs)}"
 
 
 def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLike | None = None) -> Report:

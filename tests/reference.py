@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: tableau
 counts come from the hook product, rim hooks from explicit border-strip
 removal, ranks from integer minors, the weight order from enumerating
 root coefficients, echelon forms from a full dense elimination, hom
-spaces from one stacked Kronecker system, and Specht modules from tabloids
+spaces from one stacked Kronecker system, Specht modules from tabloids
 as tuples of sorted rows, one column permutation at a time, with each
-generator solved against the whole tall basis.
+generator solved against the whole tall basis, and the combinatorial sweep
+from the public scalar predicates, one weight at a time.
 """
 
 from __future__ import annotations
@@ -14,9 +15,28 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
+import time
+
 import numpy as np
 
-from csext import ffla
+from csext import ffla, harness
+from csext.combinatorics import (
+    as_partition,
+    chi,
+    conjugate,
+    enum_dominant_weights_bounded,
+    hat,
+    is_big_partition,
+    is_big_weight,
+    is_cs_weight,
+    is_dominant,
+    is_p_regular,
+    is_p_restricted,
+    psi,
+    tilde,
+    weight_lt,
+)
+from csext.errors import ScopeError
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:
@@ -270,3 +290,102 @@ def specht_data_reference(shape: tuple[int, ...], p: int) -> dict:
         "gram": basis.T @ basis % p,
         "gens": tuple(gens),
     }
+
+
+def sweep_comb_reference(primes: list[int], n_max: int, max_entry: int) -> harness.Report:
+    """harness.sweep_comb as one scalar pass per weight through the public
+    predicates: the same rows, in the same order, and the same counters
+    apart from scalar_agreements."""
+    t0 = time.perf_counter()
+    rows = []
+    checks_run = weights_checked = big_count = hat_restricted_count = 0
+
+    def fail(check, p, n, lam, observed):
+        rows.append(harness.SweepRow(check, p, n, harness.fmt_tuple(lam), None,
+                                     "invariant holds", observed, harness.MISMATCH))
+
+    for p in primes:
+        for n in range(1, n_max + 1):
+            for lam in enum_dominant_weights_bounded(n, max_entry):
+                weights_checked += 1
+                m = sum(lam)
+                last_zero = lam[-1] == 0
+                restricted = is_p_restricted(lam, p)
+
+                if last_zero:
+                    conj = conjugate(as_partition(lam))
+                    checks_run += 1
+                    if restricted != is_p_regular(conj, p):
+                        fail("restricted_iff_conjugate_regular", p, n, lam,
+                             f"restricted={restricted}, conjugate regular={not restricted}")
+                    if m > 0:
+                        checks_run += 1
+                        if psi(lam) != chi(conj):
+                            fail("psi_chi_conjugate", p, n, lam, f"psi={psi(lam)}, chi={chi(conj)}")
+                if not restricted:
+                    continue
+
+                big = is_big_weight(lam, p)
+                if big:
+                    checks_run += 1
+                    if not is_cs_weight(lam, p):
+                        fail("big_implies_cs", p, n, lam, f"big but psi={psi(lam)} > {p}")
+
+                shifted_big = {}
+                for c in (1, -2):
+                    shifted = tuple(x + c for x in lam)
+                    checks_run += 2
+                    if psi(shifted) != psi(lam):
+                        fail("psi_translation", p, n, lam, f"c={c}: {psi(shifted)} != {psi(lam)}")
+                    shifted_big[c] = is_big_weight(shifted, p)
+                    if shifted_big[c] != big:
+                        fail("big_translation", p, n, lam, f"c={c}: bigness changed")
+
+                if big:
+                    big_count += 1
+                    h = hat(lam, p)
+                    if is_dominant(h):
+                        hat_restricted_count += is_p_restricted(h, p)
+                    checks_run += 3
+                    if not is_dominant(h):
+                        fail("hat_dominant", p, n, lam, f"hat={harness.fmt_tuple(h)} not dominant")
+                    if sum(h) != m:
+                        fail("hat_sum", p, n, lam, f"sum {sum(h)} != {m}")
+                    if not weight_lt(h, lam):
+                        fail("hat_strictly_below", p, n, lam,
+                             f"hat={harness.fmt_tuple(h)} not strictly below")
+                    for c in (1, -2):
+                        if not shifted_big[c]:
+                            continue
+                        shifted = tuple(x + c for x in lam)
+                        checks_run += 1
+                        if hat(shifted, p) != tuple(x + c for x in h):
+                            fail("hat_translation", p, n, lam, f"c={c}: node move not equivariant")
+
+                if last_zero and n >= m:
+                    big_part = is_big_partition(conj, p)
+                    checks_run += 1
+                    if big != big_part:
+                        fail("big_weight_iff_big_partition", p, n, lam,
+                             f"big weight={big}, big conjugate partition={big_part}")
+                    if big and big_part and is_dominant(h):
+                        checks_run += 1
+                        lhs = conjugate(as_partition(h))
+                        try:
+                            rhs = tilde(conj, p)
+                        except ScopeError as e:
+                            fail("hat_conjugate_is_tilde", p, n, lam,
+                                 f"conj(hat)={harness.fmt_tuple(lhs)}, tilde refused: {e.reason.value}")
+                            continue
+                        if lhs != rhs:
+                            fail("hat_conjugate_is_tilde", p, n, lam,
+                                 f"conj(hat)={harness.fmt_tuple(lhs)}, tilde(conj)={harness.fmt_tuple(rhs)}")
+
+    extras = {
+        "weights_checked": weights_checked,
+        "checks_run": checks_run,
+        "big_weights": big_count,
+        "hat_p_restricted": hat_restricted_count,
+    }
+    config = {"primes": list(primes), "n_max": n_max, "max_entry": max_entry}
+    return harness._finish("comb", config, rows, extras, t0)

@@ -1,6 +1,6 @@
 import json
 
-from csext.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SCOPE, EXIT_USAGE, main
+from csext.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, EXIT_SCOPE, EXIT_USAGE, main
 
 
 def run(capsys, *args):
@@ -85,6 +85,16 @@ def test_verify_comb(capsys):
     code, out, _ = run(capsys, "verify", "comb", "--p", "2,3", "--n", "4", "--max-entry", "3")
     assert code == EXIT_OK
     assert "no mismatches" in out
+
+
+def test_engine_limit_is_not_a_usage_error(capsys):
+    # 2 x (C(30 + 9 + 1, 30) - 1) and C(30 + 9, 30) weights, refused before enumerating
+    code, _, err = run(capsys, "verify", "comb", "--p", "2,3", "--n", "30", "--max-entry", "9")
+    assert code == EXIT_LIMIT
+    assert err.startswith("engine limit:") and "1,695,321,054 weights" in err
+    code, _, err = run(capsys, "table", "--p", "3", "--n", "30", "--max-entry", "9")
+    assert code == EXIT_LIMIT
+    assert err.startswith("engine limit:") and "211,915,132 weights" in err
 
 
 def test_verify_sym_csv(capsys):

@@ -1,10 +1,13 @@
+import ast
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import csext
 from csext import (
     ScopeError,
     ScopeReason,
@@ -334,3 +337,23 @@ def test_big_weight_iff_big_conjugate_partition():
                 assert big == is_big_partition(conj, p), (w, p)
                 if big:
                     assert conjugate(as_partition(hat(w, p))) == tilde(conj, p)
+
+
+def test_scalar_modules_import_no_numpy():
+    # The oracle path must stay light; follow every import inside the package.
+    src = Path(csext.__file__).parent
+    todo, seen, outside = ["combinatorics", "oracle"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                outside.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                todo.extend([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom):
+                outside.add(node.module.split(".")[0])
+    assert seen == {"combinatorics", "oracle", "errors"}
+    assert "numpy" not in outside
