@@ -2,6 +2,12 @@
 
 Exit codes: 0 success or all rows matched, 1 usage error, 2 out-of-scope
 query, 3 verification mismatch, 4 input refused at an engine limit.
+
+Each command is one entry of COMMANDS, keyed by its words.  build_parser
+makes argparse's nested tree from the table.  parse_args hands the argv after
+a command's words straight to that command's leaf, which skips two argparse
+passes over the whole argv; anything else (--help, --version, a group word
+alone, an unknown word) goes to the tree.
 """
 
 from __future__ import annotations
@@ -72,56 +78,6 @@ def parse_prime(text: str) -> int:
 
 def parse_primes(text: str) -> list[int]:
     return [parse_prime(tok) for tok in text.split(",")]
-
-
-@functools.cache
-def build_parser() -> Parser:
-    parser = Parser(prog="csext", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"csext {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    ext = sub.add_parser("ext", help="extension-space dimension between two irreducibles")
-    ext_sub = ext.add_subparsers(dest="side", required=True)
-    for side, label in (("gl", "weight"), ("sym", "partition")):
-        q = ext_sub.add_parser(side)
-        q.add_argument("--p", required=True)
-        q.add_argument("--lambda", dest="lam", required=True,
-                       help=f"first {label}, comma-separated")
-        q.add_argument("--mu", required=True, help=f"second {label}, comma-separated")
-        q.add_argument("--format", choices=("text", "json"), default="text")
-
-    ins = sub.add_parser("inspect", help="combinatorial attributes of one weight/partition")
-    ins.add_argument("--p", required=True)
-    group = ins.add_mutually_exclusive_group(required=True)
-    group.add_argument("--weight")
-    group.add_argument("--partition")
-    ins.add_argument("--n", type=int, default=None,
-                     help="ambient rank to pad a partition into a weight")
-    ins.add_argument("--format", choices=("text", "json"), default="text")
-
-    ver = sub.add_parser("verify", help="run a verification sweep")
-    ver_sub = ver.add_subparsers(dest="kind", required=True)
-    vc = ver_sub.add_parser("comb")
-    vc.add_argument("--p", required=True, help="comma-separated primes")
-    vc.add_argument("--n", type=int, required=True, help="maximum rank")
-    vc.add_argument("--max-entry", type=int, required=True)
-    vs = ver_sub.add_parser("sym")
-    vs.add_argument("--p", required=True, help="odd prime")
-    vs.add_argument("--m", required=True, help="degree or comma-separated degrees")
-    vs.add_argument("--cap", type=int, default=None, help="degree cap override (8 opt-in)")
-    vs.add_argument("--cache-dir", default=None,
-                    help=f"Specht cache directory (default ${CACHE_ENV})")
-    for v in (vc, vs):
-        v.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        v.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    tab = sub.add_parser("table", help="splittability/bigness listing")
-    tab.add_argument("--p", required=True)
-    tab.add_argument("--m", type=int, default=None, help="partition degree")
-    tab.add_argument("--n", type=int, default=None, help="weight rank")
-    tab.add_argument("--max-entry", type=int, default=None)
-    tab.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    return parser
 
 
 def cmd_ext(args) -> int:
@@ -217,27 +173,22 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if args.kind == "comb":
-        report = harness.sweep_comb(parse_primes(args.p), args.n, args.max_entry)
-        reports = [report]
-    else:
-        p = parse_prime(args.p)
-        if p == 2:
-            raise UsageError("verify sym requires an odd prime")
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
-        degrees = parse_ints(args.m, "--m")
-        reports = [harness.sweep_sym(p, m, cap=args.cap, cache_dir=cache_dir) for m in degrees]
+def cmd_verify_comb(args) -> int:
+    return _write_reports(args, [harness.sweep_comb(parse_primes(args.p), args.n, args.max_entry)])
 
-    rendered = []
-    for report in reports:
-        if args.format == "json":
-            rendered.append(report.to_json())
-        elif args.format == "csv":
-            rendered.append(report.to_csv())
-        else:
-            rendered.append(report.to_text())
-    text = "\n".join(rendered)
+
+def cmd_verify_sym(args) -> int:
+    p = parse_prime(args.p)
+    if p == 2:
+        raise UsageError("verify sym requires an odd prime")
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
+    degrees = parse_ints(args.m, "--m")
+    return _write_reports(
+        args, [harness.sweep_sym(p, m, cap=args.cap, cache_dir=cache_dir) for m in degrees])
+
+
+def _write_reports(args, reports: list[harness.Report]) -> int:
+    text = "\n".join(getattr(report, f"to_{args.format}")() for report in reports)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -298,18 +249,96 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+_REPORT = (("--format", dict(choices=("text", "json", "csv"), default="text")),
+           ("--out", dict(default=None, help="write the report here instead of stdout")))
+
+
+def _ext_options(label: str) -> tuple:
+    return (("--p", dict(required=True)),
+            ("--lambda", dict(dest="lam", required=True, help=f"first {label}, comma-separated")),
+            ("--mu", dict(required=True, help=f"second {label}, comma-separated")), _FORMAT)
+
+
+# Each command by its words: the function that runs it, and its options as
+# (flag, keywords) in help order, where a list is a required group of
+# mutually exclusive options.
+COMMANDS = {
+    ("ext", "gl"): (cmd_ext, _ext_options("weight")),
+    ("ext", "sym"): (cmd_ext, _ext_options("partition")),
+    ("inspect",): (cmd_inspect, (
+        ("--p", dict(required=True)), [("--weight", {}), ("--partition", {})],
+        ("--n", dict(type=int, default=None, help="ambient rank to pad a partition into a weight")),
+        _FORMAT)),
+    ("verify", "comb"): (cmd_verify_comb, (
+        ("--p", dict(required=True, help="comma-separated primes")),
+        ("--n", dict(type=int, required=True, help="maximum rank")),
+        ("--max-entry", dict(type=int, required=True)), *_REPORT)),
+    ("verify", "sym"): (cmd_verify_sym, (
+        ("--p", dict(required=True, help="odd prime")),
+        ("--m", dict(required=True, help="degree or comma-separated degrees")),
+        ("--cap", dict(type=int, default=None, help="degree cap override (8 opt-in)")),
+        ("--cache-dir", dict(default=None, help=f"Specht cache directory (default ${CACHE_ENV})")),
+        *_REPORT)),
+    ("table",): (cmd_table, (
+        ("--p", dict(required=True)),
+        ("--m", dict(type=int, default=None, help="partition degree")),
+        ("--n", dict(type=int, default=None, help="weight rank")),
+        ("--max-entry", dict(type=int, default=None)),
+        ("--format", dict(choices=("text", "json", "csv"), default="text")))),
+}
+# The help line of each first word, and the attribute that takes the second word.
+FIRST_WORDS = {
+    "ext": ("extension-space dimension between two irreducibles", "side"),
+    "inspect": ("combinatorial attributes of one weight/partition", None),
+    "verify": ("run a verification sweep", "kind"),
+    "table": ("splittability/bigness listing", None),
+}
+
+
+@functools.cache
+def build_parser() -> Parser:
+    """The nested parser tree of COMMANDS, described by the module docstring's
+    first two paragraphs.  `by_words` maps () to it and each command's words to
+    its leaf, whose defaults set `command`, `side` or `kind`, and `run`."""
+    parser = Parser(prog="csext", description=__doc__ and "\n\n".join(__doc__.split("\n\n")[:2]))
+    parser.add_argument("--version", action="version", version=f"csext {__version__}")
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    parser.by_words = {(): parser}
+    for words, (run, options) in COMMANDS.items():
+        text, dest = FIRST_WORDS[words[0]]
+        if dest is None:
+            leaf = subs[()].add_parser(words[0], help=text)
+        else:
+            if words[:1] not in subs:
+                group = subs[()].add_parser(words[0], help=text)
+                subs[words[:1]] = group.add_subparsers(dest=dest, required=True)
+            leaf = subs[words[:1]].add_parser(words[1])
+            leaf.set_defaults(**{dest: words[1]})
+        leaf.set_defaults(command=words[0], run=run)
+        for option in options:
+            if isinstance(option, list):
+                exclusive = leaf.add_mutually_exclusive_group(required=True)
+                for flag, keywords in option:
+                    exclusive.add_argument(flag, **keywords)
+            else:
+                leaf.add_argument(option[0], **option[1])
+        parser.by_words[words] = leaf
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the argv after a command's words
+    handed straight to its leaf, as the tree would hand it."""
+    parsers = build_parser().by_words
+    words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parsers)
+    return parsers[words].parse_args(argv[len(words):])
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "ext":
-            return cmd_ext(args)
-        if args.command == "inspect":
-            return cmd_inspect(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "table":
-            return cmd_table(args)
-        raise UsageError(f"unknown command {args.command}")  # pragma: no cover
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,19 +70,12 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 
     Applied literally, so partitions of unequal degree are comparable.
     """
-    lam, mu = as_partition(lam), as_partition(mu)
-    a = b = 0
-    for i in range(max(len(lam), len(mu))):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            return False
-    return True
+    return _dominates(as_partition(lam), as_partition(mu))
 
 
 def strictly_dominates(lam: Partition, mu: Partition) -> bool:
     lam, mu = as_partition(lam), as_partition(mu)
-    return lam != mu and dominates(lam, mu)
+    return lam != mu and _dominates(lam, mu)
 
 
 def weight_leq(mu: Weight, lam: Weight) -> bool:
@@ -108,13 +101,7 @@ def weight_lt(mu: Weight, lam: Weight) -> bool:
 
 def is_p_regular(lam: Partition, p: int) -> bool:
     """No nonzero part value occurs p or more times."""
-    lam = as_partition(lam)
-    return all(count < p for count in _part_multiplicities(lam))
-
-
-def _part_multiplicities(lam: Partition) -> Iterator[int]:
-    for _, grp in itertools.groupby(lam):
-        yield sum(1 for _ in grp)
+    return _regular(as_partition(lam), p)
 
 
 def is_p_restricted(w: Weight, p: int) -> bool:
@@ -123,8 +110,34 @@ def is_p_restricted(w: Weight, p: int) -> bool:
 
 
 # The private cores below trust their input: a dominant weight as a tuple or
-# list of ints, and for _hat a big one.  The public predicates validate once
-# and then call them; callers that validated already may call them directly.
+# list of ints (for _hat a big one), or partitions as as_partition returns
+# them.  The public predicates validate once and then call them; callers that
+# validated already may call them directly.
+
+
+def _chi(lam: Partition) -> int:
+    return lam[0] - lam[-1] + len(lam) if lam else 0
+
+
+def _rim_p_hook(lam: Partition, p: int) -> bool:
+    betas = {x + len(lam) - 1 - i for i, x in enumerate(lam)}
+    return any(b >= p and b - p not in betas for b in betas)
+
+
+def _regular(lam: Partition, p: int) -> bool:
+    # In a weakly decreasing sequence a value occurs p times iff it equals
+    # the entry p - 1 places on.
+    return all(a != b for a, b in zip(lam, lam[p - 1:]))
+
+
+def _dominates(lam: Partition, mu: Partition) -> bool:
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
 
 
 def _restricted(w: Sequence[int], p: int) -> bool:
@@ -178,10 +191,7 @@ def _hat(w: Sequence[int], p: int) -> Weight:
 
 def chi(lam: Partition) -> int:
     """lam_1 - lam_h + h for a nonzero partition of height h, else 0."""
-    lam = as_partition(lam)
-    if not lam:
-        return 0
-    return lam[0] - lam[-1] + len(lam)
+    return _chi(as_partition(lam))
 
 
 class RemovableRows(NamedTuple):
@@ -215,13 +225,7 @@ def is_cs_partition(lam: Partition, p: int) -> bool:
 
 def is_cs_weight(w: Weight, p: int) -> bool:
     """Complete splittability test for p-restricted dominant weights: psi <= p."""
-    w = check_dominant(w)
-    if not _restricted(w, p):
-        raise ScopeError(
-            ScopeReason.NOT_P_RESTRICTED,
-            f"the psi criterion applies to p-restricted weights only, got {w} at p={p}",
-        )
-    return _psi(w) <= p
+    return _psi(_check_restricted(w, p, "the psi criterion applies to")) <= p
 
 
 def has_rim_p_hook(lam: Partition, p: int) -> bool:
@@ -230,16 +234,13 @@ def has_rim_p_hook(lam: Partition, p: int) -> bool:
     Beta-set test: with beta_i = lam_i + h - i, a removable rim p-hook exists
     iff some beta >= p has beta - p outside the beta-set.
     """
-    lam = as_partition(lam)
-    h = len(lam)
-    betas = {lam[i] + h - 1 - i for i in range(h)}
-    return any(b >= p and b - p not in betas for b in betas)
+    return _rim_p_hook(as_partition(lam), p)
 
 
 def is_big_partition(lam: Partition, p: int) -> bool:
     """Completely splittable, at least two parts, and a removable rim p-hook."""
     lam = as_partition(lam)
-    return is_cs_partition(lam, p) and len(lam) >= 2 and has_rim_p_hook(lam, p)
+    return _chi(lam) <= p and len(lam) >= 2 and _rim_p_hook(lam, p)
 
 
 def is_big_weight(w: Weight, p: int) -> bool:
@@ -250,16 +251,14 @@ def is_big_weight(w: Weight, p: int) -> bool:
       2. w_i - w_{j+1} > 1,  j - 1 + w_i - w_{j+1} >= p,  and
          i - w_i + w_{j+1} + p + 1 <= n.
     """
-    return _big(_check_restricted(w, p), p)
+    return _big(_check_restricted(w, p, "bigness is defined for"), p)
 
 
-def _check_restricted(w: Weight, p: int) -> Weight:
+def _check_restricted(w: Weight, p: int, what: str) -> Weight:
     w = check_dominant(w)
     if not _restricted(w, p):
-        raise ScopeError(
-            ScopeReason.NOT_P_RESTRICTED,
-            f"bigness is defined for p-restricted weights only, got {w} at p={p}",
-        )
+        raise ScopeError(ScopeReason.NOT_P_RESTRICTED,
+                         f"{what} p-restricted weights only, got {w} at p={p}")
     return w
 
 
@@ -271,7 +270,7 @@ def hat(w: Weight, p: int) -> Weight:
     result is dominant, has the same entry sum and sits strictly below w in
     the weight order.
     """
-    w = _check_restricted(w, p)
+    w = _check_restricted(w, p, "bigness is defined for")
     if not _big(w, p):
         raise ScopeError(
             ScopeReason.NOT_BIG, f"the node move is defined for big weights only, got {w} at p={p}"

@@ -153,6 +153,7 @@ def _finish(kind: str, config: dict, rows: list[SweepRow], extras: dict, t0: flo
 COMB_CHUNK = 1024
 DIAGRAM_CELLS = 2**20
 MAX_WEIGHTS = 10**7
+MAX_CELLS = 10**9
 
 
 def check_weight_count(count: int, what: str) -> None:
@@ -185,8 +186,9 @@ def sweep_comb(primes: list[int], n_max: int, max_entry: int) -> Report:
     `combinatorics`, and on the few weights of the partition bridge the
     diagram chi against `chi` of the scalar conjugate.  `scalar_agreements`
     counts the weights where all of them agree; a disagreement is a
-    `kernel_matches_scalar` row.  A run over more than MAX_WEIGHTS weights is
-    refused with EngineLimitError before it starts.
+    `kernel_matches_scalar` row.  A run over more than MAX_WEIGHTS weights,
+    or over more than MAX_CELLS diagram cells (rank x (max_entry + 1) a
+    weight), is refused with EngineLimitError before it starts.
     """
     if n_max < 1 or max_entry < 0:
         raise ValueError(f"need n_max >= 1 and max_entry >= 0, got {n_max} and {max_entry}")
@@ -194,7 +196,13 @@ def sweep_comb(primes: list[int], n_max: int, max_entry: int) -> Report:
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
     # Ranks 1..n_max hold sum_n C(n + max_entry, n) = C(n_max + max_entry + 1, n_max) - 1 weights.
-    check_weight_count(len(primes) * (math.comb(n_max + max_entry + 1, n_max) - 1), "verify comb")
+    count = len(primes) * (math.comb(n_max + max_entry + 1, n_max) - 1)
+    check_weight_count(count, "verify comb")
+    # A weight costs up to rank x (max_entry + 1) diagram cells in _comb_chunk.
+    cells = count * n_max * (max_entry + 1)
+    if cells > MAX_CELLS:
+        raise EngineLimitError(
+            f"verify comb would fill {cells:,} diagram cells, over the limit of {MAX_CELLS:,}")
     t0 = time.perf_counter()
     rows: list[SweepRow] = []
     tally = dict.fromkeys(
@@ -503,7 +511,8 @@ def cache_put(data: specht.SpechtData, cache_dir: str | os.PathLike) -> Path:
 
 
 def cache_get(shape: Partition, p: int, cache_dir: str | os.PathLike) -> specht.SpechtData | None:
-    """Load one entry; stale versions and unreadable files are misses."""
+    """Load one entry; stale versions, unreadable files and arrays that do not
+    fit their dims, p or shape are misses."""
     shape = as_partition(shape)
     path = cache_path(cache_dir, shape, p)
     if not path.exists():
@@ -516,14 +525,19 @@ def cache_get(shape: Partition, p: int, cache_dir: str | os.PathLike) -> specht.
                 warnings.warn(f"cache entry {path} does not match its key, ignoring")
                 return None
             d, tabloid_count, m = (int(x) for x in npz["dims"])
-            std = _decode_tableaux(npz["tableaux"], shape)
-            basis = npz["basis"].astype(np.int64)
-            gram = npz["gram"].astype(np.int64)
-            gens = tuple(g.astype(np.int64) for g in npz["gens"])
-        rep = specht.SymRep(degree=m, dim=d, p=p, gens=gens)
+            tableaux, basis, gram, gens = (npz[k].astype(np.int64)
+                                           for k in ("tableaux", "basis", "gram", "gens"))
+        if (m != sum(shape) or tableaux.shape != (d, m) or basis.shape != (tabloid_count, d)
+                or gram.shape != (d, d) or gens.shape != (max(m - 1, 0), d, d)):
+            raise ValueError("array shapes disagree with dims")
+        if any(a.size and not 0 <= a.min() <= a.max() < p for a in (basis, gram, gens)):
+            raise ValueError(f"matrix entries outside [0, {p})")
+        if ((tableaux[:, :, None] == np.arange(len(shape))).sum(axis=1) != shape).any():
+            raise ValueError("tableaux do not fill the shape")
+        rep = specht.SymRep(degree=m, dim=d, p=p, gens=tuple(gens))
         return specht.SpechtData(
-            shape=shape, p=p, std_tableaux=std, tabloid_count=tabloid_count,
-            basis=basis, gram=gram, rep=rep,
+            shape=shape, p=p, std_tableaux=_decode_tableaux(tableaux, shape),
+            tabloid_count=tabloid_count, basis=basis, gram=gram, rep=rep,
         )
     except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError) as e:
         warnings.warn(f"corrupt cache entry {path} ({e}); recomputing")

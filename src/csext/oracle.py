@@ -70,6 +70,32 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _gl_gate(lam: comb.Weight, p: int) -> comb.Weight | None:
+    """Refuse a dominant weight outside the GL hypotheses: not p-restricted,
+    then psi > p.  Returns the node move of lam if lam is big, else None."""
+    if not comb._restricted(lam, p):
+        raise ScopeError(ScopeReason.NOT_P_RESTRICTED, f"lam={lam} is not {p}-restricted")
+    psi = comb._psi(lam)
+    if psi > p:
+        raise ScopeError(ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+                         f"psi(lam)={psi} > p={p}, lam={lam} is not completely splittable")
+    return comb._hat(lam, p) if comb._big(lam, p) else None
+
+
+def _sym_gate(lam: comb.Partition, p: int) -> comb.Partition | None:
+    """Refuse a partition outside the symmetric-group hypotheses: p = 2, then
+    chi > p, then not p-regular.  Returns tilde(lam) if lam is big, else None."""
+    if p == 2:
+        raise ScopeError(ScopeReason.CHAR_TWO, "the criterion requires p > 2")
+    chi = comb._chi(lam)
+    if chi > p:
+        raise ScopeError(ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+                         f"chi(lam)={chi} > p={p}, lam={lam} is not completely splittable")
+    if not comb._regular(lam, p):
+        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"lam={lam} is not {p}-regular")
+    return comb.tilde(lam, p) if len(lam) >= 2 and comb._rim_p_hook(lam, p) else None
+
+
 def ext1_gl(lam: comb.Weight, mu: comb.Weight, p: int) -> ExtAnswer:
     """Extension-space dimension for dominant weights lam, mu of equal rank.
 
@@ -85,25 +111,11 @@ def ext1_gl(lam: comb.Weight, mu: comb.Weight, p: int) -> ExtAnswer:
         if not comb.is_dominant(w):
             raise ScopeError(ScopeReason.NON_DOMINANT, f"weight {w} is not dominant")
     lam, mu = comb.normalize_pair(lam, mu)
-    if not comb.is_p_restricted(lam, p):
-        raise ScopeError(
-            ScopeReason.NOT_P_RESTRICTED, f"lam={lam} is not {p}-restricted"
-        )
-    if comb.psi(lam) > p:
-        raise ScopeError(
-            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
-            f"psi(lam)={comb.psi(lam)} > p={p}, lam={lam} is not completely splittable",
-        )
+    move = _gl_gate(lam, p)
     if comb.weight_lt(lam, mu):
-        raise ScopeError(
-            ScopeReason.ORDER_HYPOTHESIS_FAILS,
-            f"lam={lam} lies strictly below mu={mu} in the weight order",
-        )
-    if comb.is_big_weight(lam, p):
-        witness = comb.hat(lam, p)
-        if mu == witness:
-            return ExtAnswer(dim=1, witness=witness)
-    return ExtAnswer(dim=0)
+        raise ScopeError(ScopeReason.ORDER_HYPOTHESIS_FAILS,
+                         f"lam={lam} lies strictly below mu={mu} in the weight order")
+    return ExtAnswer(dim=1, witness=move) if mu == move else ExtAnswer(dim=0)
 
 
 def ext1_sym(lam: comb.Partition, mu: comb.Partition, p: int) -> ExtAnswer:
@@ -114,31 +126,14 @@ def ext1_sym(lam: comb.Partition, mu: comb.Partition, p: int) -> ExtAnswer:
     """
     _require_prime(p)
     lam, mu = comb.as_partition(lam), comb.as_partition(mu)
-    if comb.degree(lam) != comb.degree(mu):
-        raise ValueError(
-            f"degrees differ: |{lam}| = {comb.degree(lam)}, |{mu}| = {comb.degree(mu)}"
-        )
-    if p == 2:
-        raise ScopeError(ScopeReason.CHAR_TWO, "the criterion requires p > 2")
-    if not comb.is_cs_partition(lam, p):
-        raise ScopeError(
-            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
-            f"chi(lam)={comb.chi(lam)} > p={p}, lam={lam} is not completely splittable",
-        )
-    if not comb.is_p_regular(lam, p):
-        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"lam={lam} is not {p}-regular")
-    if not comb.is_p_regular(mu, p):
+    if sum(lam) != sum(mu):
+        raise ValueError(f"degrees differ: |{lam}| = {sum(lam)}, |{mu}| = {sum(mu)}")
+    move = _sym_gate(lam, p)
+    if not comb._regular(mu, p):
         raise ScopeError(ScopeReason.NOT_P_REGULAR, f"mu={mu} is not {p}-regular")
-    if comb.strictly_dominates(lam, mu):
-        raise ScopeError(
-            ScopeReason.ORDER_HYPOTHESIS_FAILS,
-            f"lam={lam} strictly dominates mu={mu}",
-        )
-    if comb.is_big_partition(lam, p):
-        witness = comb.tilde(lam, p)
-        if mu == witness:
-            return ExtAnswer(dim=1, witness=witness)
-    return ExtAnswer(dim=0)
+    if lam != mu and comb._dominates(lam, mu):
+        raise ScopeError(ScopeReason.ORDER_HYPOTHESIS_FAILS, f"lam={lam} strictly dominates mu={mu}")
+    return ExtAnswer(dim=1, witness=move) if mu == move else ExtAnswer(dim=0)
 
 
 def rad_weyl_prediction(lam: comb.Weight, p: int) -> RadPrediction:
@@ -148,34 +143,13 @@ def rad_weyl_prediction(lam: comb.Weight, p: int) -> RadPrediction:
     lam = tuple(lam)
     if not comb.is_dominant(lam):
         raise ScopeError(ScopeReason.NON_DOMINANT, f"weight {lam} is not dominant")
-    if not comb.is_p_restricted(lam, p):
-        raise ScopeError(
-            ScopeReason.NOT_P_RESTRICTED, f"lam={lam} is not {p}-restricted"
-        )
-    if comb.psi(lam) > p:
-        raise ScopeError(
-            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
-            f"psi(lam)={comb.psi(lam)} > p={p}, lam={lam} is not completely splittable",
-        )
-    if comb.is_big_weight(lam, p):
-        return RadPrediction(zero=False, source=comb.hat(lam, p))
-    return RadPrediction(zero=True)
+    move = _gl_gate(lam, p)
+    return RadPrediction(zero=move is None, source=move)
 
 
 def rad_specht_prediction(lam: comb.Partition, p: int) -> RadPrediction:
     """Radical of the Specht module over GF(p): zero unless lam is big, then
     the image of the Specht module labelled by the tilde partition."""
     _require_prime(p)
-    lam = comb.as_partition(lam)
-    if p == 2:
-        raise ScopeError(ScopeReason.CHAR_TWO, "the criterion requires p > 2")
-    if not comb.is_cs_partition(lam, p):
-        raise ScopeError(
-            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
-            f"chi(lam)={comb.chi(lam)} > p={p}, lam={lam} is not completely splittable",
-        )
-    if not comb.is_p_regular(lam, p):
-        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"lam={lam} is not {p}-regular")
-    if comb.is_big_partition(lam, p):
-        return RadPrediction(zero=False, source=comb.tilde(lam, p))
-    return RadPrediction(zero=True)
+    move = _sym_gate(comb.as_partition(lam), p)
+    return RadPrediction(zero=move is None, source=move)

@@ -6,8 +6,10 @@ removal, ranks from integer minors, the weight order from enumerating
 root coefficients, echelon forms from a full dense elimination, hom
 spaces from one stacked Kronecker system, Specht modules from tabloids
 as tuples of sorted rows, one column permutation at a time, with each
-generator solved against the whole tall basis, and the combinatorial sweep
-from the public scalar predicates, one weight at a time.
+generator solved against the whole tall basis, the combinatorial sweep
+from the public scalar predicates, one weight at a time, and the four
+oracles as each hypothesis check through the public, self-validating
+predicates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 
 import numpy as np
 
+from csext import combinatorics as comb
 from csext import ffla, harness
 from csext.combinatorics import (
     as_partition,
@@ -36,7 +39,8 @@ from csext.combinatorics import (
     tilde,
     weight_lt,
 )
-from csext.errors import ScopeError
+from csext.errors import ScopeError, ScopeReason
+from csext.oracle import ExtAnswer, RadPrediction, is_prime
 
 
 def hook_length_count(shape: tuple[int, ...]) -> int:
@@ -389,3 +393,108 @@ def sweep_comb_reference(primes: list[int], n_max: int, max_entry: int) -> harne
     }
     config = {"primes": list(primes), "n_max": n_max, "max_entry": max_entry}
     return harness._finish("comb", config, rows, extras, t0)
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def ext1_gl_reference(lam, mu, p: int) -> ExtAnswer:
+    """oracle.ext1_gl with every hypothesis checked through the public predicates."""
+    _require_prime(p)
+    lam, mu = tuple(lam), tuple(mu)
+    if len(lam) != len(mu):
+        raise ValueError(f"weight lengths differ: {len(lam)} vs {len(mu)}")
+    for w in (lam, mu):
+        if not comb.is_dominant(w):
+            raise ScopeError(ScopeReason.NON_DOMINANT, f"weight {w} is not dominant")
+    lam, mu = comb.normalize_pair(lam, mu)
+    if not comb.is_p_restricted(lam, p):
+        raise ScopeError(
+            ScopeReason.NOT_P_RESTRICTED, f"lam={lam} is not {p}-restricted"
+        )
+    if comb.psi(lam) > p:
+        raise ScopeError(
+            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+            f"psi(lam)={comb.psi(lam)} > p={p}, lam={lam} is not completely splittable",
+        )
+    if comb.weight_lt(lam, mu):
+        raise ScopeError(
+            ScopeReason.ORDER_HYPOTHESIS_FAILS,
+            f"lam={lam} lies strictly below mu={mu} in the weight order",
+        )
+    if comb.is_big_weight(lam, p):
+        witness = comb.hat(lam, p)
+        if mu == witness:
+            return ExtAnswer(dim=1, witness=witness)
+    return ExtAnswer(dim=0)
+
+
+def ext1_sym_reference(lam, mu, p: int) -> ExtAnswer:
+    """oracle.ext1_sym with bigness from rim hooks and tilde from the public move."""
+    _require_prime(p)
+    lam, mu = comb.as_partition(lam), comb.as_partition(mu)
+    if comb.degree(lam) != comb.degree(mu):
+        raise ValueError(
+            f"degrees differ: |{lam}| = {comb.degree(lam)}, |{mu}| = {comb.degree(mu)}"
+        )
+    if p == 2:
+        raise ScopeError(ScopeReason.CHAR_TWO, "the criterion requires p > 2")
+    if not comb.is_cs_partition(lam, p):
+        raise ScopeError(
+            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+            f"chi(lam)={comb.chi(lam)} > p={p}, lam={lam} is not completely splittable",
+        )
+    if not comb.is_p_regular(lam, p):
+        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"lam={lam} is not {p}-regular")
+    if not comb.is_p_regular(mu, p):
+        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"mu={mu} is not {p}-regular")
+    if comb.strictly_dominates(lam, mu):
+        raise ScopeError(
+            ScopeReason.ORDER_HYPOTHESIS_FAILS,
+            f"lam={lam} strictly dominates mu={mu}",
+        )
+    if comb.is_big_partition(lam, p):
+        witness = comb.tilde(lam, p)
+        if mu == witness:
+            return ExtAnswer(dim=1, witness=witness)
+    return ExtAnswer(dim=0)
+
+
+def rad_weyl_prediction_reference(lam, p: int) -> RadPrediction:
+    """oracle.rad_weyl_prediction through the public predicates."""
+    _require_prime(p)
+    lam = tuple(lam)
+    if not comb.is_dominant(lam):
+        raise ScopeError(ScopeReason.NON_DOMINANT, f"weight {lam} is not dominant")
+    if not comb.is_p_restricted(lam, p):
+        raise ScopeError(
+            ScopeReason.NOT_P_RESTRICTED, f"lam={lam} is not {p}-restricted"
+        )
+    if comb.psi(lam) > p:
+        raise ScopeError(
+            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+            f"psi(lam)={comb.psi(lam)} > p={p}, lam={lam} is not completely splittable",
+        )
+    if comb.is_big_weight(lam, p):
+        return RadPrediction(zero=False, source=comb.hat(lam, p))
+    return RadPrediction(zero=True)
+
+
+def rad_specht_prediction_reference(lam, p: int) -> RadPrediction:
+    """oracle.rad_specht_prediction with bigness from rim hooks."""
+    _require_prime(p)
+    lam = comb.as_partition(lam)
+    if p == 2:
+        raise ScopeError(ScopeReason.CHAR_TWO, "the criterion requires p > 2")
+    if not comb.is_cs_partition(lam, p):
+        raise ScopeError(
+            ScopeReason.NOT_COMPLETELY_SPLITTABLE,
+            f"chi(lam)={comb.chi(lam)} > p={p}, lam={lam} is not completely splittable",
+        )
+    if not comb.is_p_regular(lam, p):
+        raise ScopeError(ScopeReason.NOT_P_REGULAR, f"lam={lam} is not {p}-regular")
+    if comb.is_big_partition(lam, p):
+        return RadPrediction(zero=False, source=comb.tilde(lam, p))
+    return RadPrediction(zero=True)

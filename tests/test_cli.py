@@ -1,5 +1,12 @@
+import argparse
+import contextlib
+import io
 import json
+import time
 
+from hypothesis import given, settings, strategies as st
+
+from csext import cli
 from csext.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, EXIT_SCOPE, EXIT_USAGE, main
 
 
@@ -97,6 +104,16 @@ def test_engine_limit_is_not_a_usage_error(capsys):
     assert err.startswith("engine limit:") and "211,915,132 weights" in err
 
 
+def test_engine_limit_counts_diagram_cells(capsys):
+    # 10^6 + 1 and 10^6 weights, each 10^6 + 1 (resp. 10^6) diagram cells:
+    # under MAX_WEIGHTS but about an hour of work, refused before enumerating
+    for argv in (["--n", "1", "--max-entry", "1000000"], ["--n", "1000000", "--max-entry", "0"]):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "verify", "comb", "--p", "3", *argv)
+        assert code == EXIT_LIMIT and time.perf_counter() - t0 < 5
+        assert err.startswith("engine limit:") and "diagram cells" in err
+
+
 def test_verify_sym_csv(capsys):
     code, out, _ = run(capsys, "verify", "sym", "--p", "3", "--m", "3", "--format", "csv")
     assert code == EXIT_OK
@@ -147,3 +164,86 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("csext.cli.harness.sweep_sym", fake)
     code, _, _ = run(capsys, "verify", "sym", "--p", "3", "--m", "3")
     assert code == EXIT_MISMATCH
+
+
+COMMAND_WORDS = ["ext", "gl", "sym", "inspect", "verify", "comb", "table"]
+TOKENS = [
+    # every option, and abbreviations of some (ambiguous ones included)
+    "--p", "--lambda", "--mu", "--format", "--weight", "--partition", "--n", "--m",
+    "--max-entry", "--cap", "--cache-dir", "--out", "--lam", "--l", "--ma", "--max",
+    "--mu=1", "--we", "--pa", "--f", "--fo", "--c", "--ca", "--cac", "--o",
+    "-h", "--help", "--he", "--version", "--v", "--",
+    "--p=3", "--lambda=2,1,0", "--format=json", "--m=4", "--n=2", "--p=",
+    # values, some that look like options
+    "3", "5", "2,1,0", "1,1,1", "-1,0", "-1", "0", "json", "csv", "text",
+    # junk
+    "--bogus", "-x", "", "=", "x", "gl", "sym", "comb",
+]
+# The required options of each command, and runs of its optional ones.
+REQUIRED = {
+    ("ext", "gl"): ["--p", "3", "--lambda", "2,2,0,0", "--mu", "1,1,1,1"],
+    ("ext", "sym"): ["--p", "3", "--lam", "2,2", "--mu", "4"],
+    ("inspect",): ["--p", "3", "--weight", "2,1"],
+    ("verify", "comb"): ["--p", "2,3", "--n", "2", "--max-entry", "2"],
+    ("verify", "sym"): ["--p", "3", "--m", "4"],
+    ("table",): ["--p", "7", "--n", "3", "--max", "2"],
+}
+OPTIONAL = {
+    ("ext", "gl"): [["--format", "json"], ["--format=text"]],
+    ("ext", "sym"): [["--fo", "json"], ["--mu", "3,1"]],
+    ("inspect",): [["--format", "json"], ["--n", "4"]],
+    ("verify", "comb"): [["--format", "csv"], ["--out", "report.txt"]],
+    ("verify", "sym"): [["--cap", "8"], ["--cache-dir", "d"], ["--format=json"]],
+    ("table",): [["--format", "csv"], ["--m", "5"]],
+}
+
+
+@st.composite
+def argvs(draw):
+    """0-2 leading command words, then options, values and junk; about half
+    the known commands get their required options, some optional ones and at
+    most one junk token."""
+    lead = draw(st.one_of(st.sampled_from([(), ("ext",), ("verify",), *cli.COMMANDS]),
+                          st.lists(st.sampled_from(COMMAND_WORDS), max_size=2).map(tuple)))
+    tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=5))
+    if lead in REQUIRED and draw(st.booleans()):
+        runs = [REQUIRED[lead], *draw(st.lists(st.sampled_from(OPTIONAL[lead]), max_size=2))]
+        tokens = [t for run in draw(st.permutations(runs)) for t in run] + tokens[:draw(st.integers(0, 1))]
+    return list(lead) + tokens
+
+
+def _parsed(parse, argv):
+    """What parse does with argv: the Namespace, the UsageError text or the
+    SystemExit code, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except cli.UsageError as e:
+            result = ("usage error", str(e))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=800, deadline=None)
+@given(argvs())
+def test_dispatch_parses_as_the_tree(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+def test_every_command_is_a_leaf_of_the_tree():
+    parser = cli.build_parser()
+
+    def leaves(node, words=()):
+        subs = [a for a in node._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return {words: node}
+        return {key: leaf for word, child in subs[0].choices.items()
+                for key, leaf in leaves(child, words + (word,)).items()}
+
+    tree = leaves(parser)
+    assert tree.keys() == cli.COMMANDS.keys()
+    for words, leaf in tree.items():
+        assert parser.by_words[words] is leaf
+        assert leaf.get_default("run") is cli.COMMANDS[words][0]

@@ -255,14 +255,40 @@ def test_cache_miss_on_empty_and_version_gate(tmp_path):
 
 
 def test_cache_corruption_recovers(tmp_path):
-    harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
+    expected = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
     path = harness.cache_path(tmp_path, (2, 2), 5)
+    with np.load(path) as npz:
+        good = dict(npz)
     path.write_bytes(b"not an archive")
     with pytest.warns(UserWarning):
         data = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
     assert data.rep.dim == 2
     # overwritten with a good entry
     assert harness.cache_get((2, 2), 5, tmp_path) is not None
+
+    def changed(name, index, value):
+        arr = good[name].copy()
+        arr[index] = value
+        return {name: arr}
+
+    corruptions = [
+        changed("tableaux", (0, 0), 5),  # row indices outside the shape
+        changed("tableaux", (0, 0), -1),
+        changed("gram", (0, 0), 5),  # matrix entries outside [0, p)
+        changed("gens", (0, 0, 0), -1),
+        changed("basis", (0, 0), 7),
+        {"gram": good["gram"][:1]},  # array shapes that disagree with dims
+        {"gens": good["gens"][:1]},
+        {"dims": good["dims"] + 1},
+    ]
+    for change in corruptions:
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**good, **change})
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            data = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
+        assert data.std_tableaux == expected.std_tableaux
+        assert np.array_equal(data.gram, expected.gram)
+        assert harness.cache_get((2, 2), 5, tmp_path) is not None
 
 
 def test_sweep_sym_uses_cache_dir(tmp_path):

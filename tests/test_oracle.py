@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csext import (
     ScopeError,
@@ -16,6 +16,13 @@ from csext import (
     rad_specht_prediction,
     rad_weyl_prediction,
     weight_lt,
+)
+
+from reference import (
+    ext1_gl_reference,
+    ext1_sym_reference,
+    rad_specht_prediction_reference,
+    rad_weyl_prediction_reference,
 )
 
 
@@ -154,3 +161,70 @@ def test_gl_sym_conjugation_consistency():
                 assert gl.dim == sym.dim, (lam, mu, p)
                 if gl.dim == 1:
                     assert conjugate(tuple(x for x in gl.witness if x)) == sym.witness
+
+
+def _outcome(fn, *args):
+    """A result with the types of its witness entries, or the refusal:
+    exception type, then reason and message of a ScopeError or the text of
+    any other exception."""
+    try:
+        result = fn(*args)
+    except ScopeError as e:
+        return ScopeError, e.reason, e.message, str(e)
+    except ValueError as e:
+        return type(e), str(e)
+    label = getattr(result, "witness", getattr(result, "source", None))
+    return result, None if label is None else [type(x) for x in label]
+
+
+PRIMES = st.sampled_from([2, 3, 4, 5, 7])
+# Mostly weakly decreasing entries, so the hypotheses past dominance get exercised.
+WEIGHTS = st.one_of(
+    st.lists(st.integers(-3, 8), max_size=7).map(lambda w: tuple(sorted(w, reverse=True))),
+    st.lists(st.integers(-3, 8), max_size=7).map(tuple),
+)
+PARTITIONS_BY_DEGREE = {m: enum_partitions(m) for m in range(16)}
+
+
+@st.composite
+def partition_pairs(draw):
+    """lam and mu, mostly partitions of one degree, some with trailing zeros,
+    some of unequal degree or not partitions at all."""
+    def zeros():
+        return (0,) * draw(st.integers(0, 2))
+
+    m = draw(st.integers(0, 15))
+    lam = draw(st.sampled_from(PARTITIONS_BY_DEGREE[m])) + zeros()
+    if draw(st.integers(0, 9)) == 0:
+        return lam, draw(st.lists(st.integers(-1, 5), max_size=5).map(tuple))
+    mu_degree = m if draw(st.integers(0, 9)) else draw(st.integers(0, 15))
+    return lam, draw(st.sampled_from(PARTITIONS_BY_DEGREE[mu_degree])) + zeros()
+
+
+@settings(max_examples=400)
+@given(WEIGHTS, WEIGHTS, st.booleans(), PRIMES)
+def test_gl_gate_matches_reference(lam, mu, same_rank, p):
+    if same_rank:
+        mu = (mu + lam)[: len(lam)]
+    assert _outcome(ext1_gl, lam, mu, p) == _outcome(ext1_gl_reference, lam, mu, p)
+    assert _outcome(rad_weyl_prediction, lam, p) == _outcome(rad_weyl_prediction_reference, lam, p)
+
+
+@settings(max_examples=400)
+@given(partition_pairs(), PRIMES)
+def test_sym_gate_matches_reference(pair, p):
+    lam, mu = pair
+    assert _outcome(ext1_sym, lam, mu, p) == _outcome(ext1_sym_reference, lam, mu, p)
+    assert _outcome(rad_specht_prediction, lam, p) == _outcome(rad_specht_prediction_reference, lam, p)
+    assert _outcome(rad_specht_prediction, mu, p) == _outcome(rad_specht_prediction_reference, mu, p)
+
+
+def test_gates_match_reference_on_every_small_input():
+    for p in (2, 3, 4, 5, 7):
+        for n in range(1, 5):
+            weights = [w for m in range(7) for w in enum_dominant_weights(n, m)]
+            for lam, mu in itertools.product(weights, repeat=2):
+                assert _outcome(ext1_gl, lam, mu, p) == _outcome(ext1_gl_reference, lam, mu, p)
+        for m in range(10):
+            for lam, mu in itertools.product(PARTITIONS_BY_DEGREE[m], repeat=2):
+                assert _outcome(ext1_sym, lam, mu, p) == _outcome(ext1_sym_reference, lam, mu, p)
