@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 
@@ -213,7 +212,8 @@ def cmd_table(args) -> int:
             raise UsageError("table --n requires --max-entry")
         if args.n < 0 or args.max_entry < 0:
             raise UsageError("table --n and --max-entry must be nonnegative")
-        harness.check_weight_count(math.comb(args.n + args.max_entry, args.n), "table --n")
+        count = harness.count_weights(args.n, args.max_entry, "table --n")
+        harness.check_weight_count(count, "table --n")
         for w in comb.enum_dominant_weights_bounded(args.n, args.max_entry):
             if comb.is_p_restricted(w, p):
                 rows.append(_weight_attributes(w, p))

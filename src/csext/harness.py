@@ -156,6 +156,20 @@ MAX_WEIGHTS = 10**7
 MAX_CELLS = 10**9
 
 
+def count_weights(n: int, max_entry: int, what: str) -> int:
+    """C(n + max_entry, n), the dominant weights of rank n with entries in
+    [0, max_entry].
+
+    C(a + b, a) >= 2^min(a, b), so a min(n, max_entry) past the bit length
+    of MAX_WEIGHTS is refused at once, before math.comb, whose cost grows
+    with it (35 s at a million).
+    """
+    if min(n, max_entry) > MAX_WEIGHTS.bit_length():
+        raise EngineLimitError(
+            f"{what} would enumerate more than {MAX_WEIGHTS:,} weights, the limit")
+    return math.comb(n + max_entry, n)
+
+
 def check_weight_count(count: int, what: str) -> None:
     """Refuse, before enumerating anything, a run over more than MAX_WEIGHTS weights."""
     if count > MAX_WEIGHTS:
@@ -196,7 +210,7 @@ def sweep_comb(primes: list[int], n_max: int, max_entry: int) -> Report:
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
     # Ranks 1..n_max hold sum_n C(n + max_entry, n) = C(n_max + max_entry + 1, n_max) - 1 weights.
-    count = len(primes) * (math.comb(n_max + max_entry + 1, n_max) - 1)
+    count = len(primes) * (count_weights(n_max, max_entry + 1, "verify comb") - 1)
     check_weight_count(count, "verify comb")
     # A weight costs up to rank x (max_entry + 1) diagram cells in _comb_chunk.
     cells = count * n_max * (max_entry + 1)
@@ -511,8 +525,9 @@ def cache_put(data: specht.SpechtData, cache_dir: str | os.PathLike) -> Path:
 
 
 def cache_get(shape: Partition, p: int, cache_dir: str | os.PathLike) -> specht.SpechtData | None:
-    """Load one entry; stale versions, unreadable files and arrays that do not
-    fit their dims, p or shape are misses."""
+    """Load one entry; stale versions, unreadable files, arrays that do not
+    fit their dims, p or shape, a gram that is not the Gram matrix of the
+    basis and generators that fail the Coxeter relations are misses."""
     shape = as_partition(shape)
     path = cache_path(cache_dir, shape, p)
     if not path.exists():
@@ -534,7 +549,11 @@ def cache_get(shape: Partition, p: int, cache_dir: str | os.PathLike) -> specht.
             raise ValueError(f"matrix entries outside [0, {p})")
         if ((tableaux[:, :, None] == np.arange(len(shape))).sum(axis=1) != shape).any():
             raise ValueError("tableaux do not fill the shape")
+        if not np.array_equal(specht._gram(basis, p), gram):
+            raise ValueError("gram is not the Gram matrix of basis")
         rep = specht.SymRep(degree=m, dim=d, p=p, gens=tuple(gens))
+        if not specht.satisfies_relations(rep):
+            raise ValueError("generators fail the Coxeter relations")
         return specht.SpechtData(
             shape=shape, p=p, std_tableaux=_decode_tableaux(tableaux, shape),
             tabloid_count=tabloid_count, basis=basis, gram=gram, rep=rep,

@@ -8,6 +8,15 @@ Tabloids are integer codes, each polytabloid is one signed scatter over the
 column group, and the generators come from one square solve on the rows at
 the tabloids of the standard tableaux, with no straightening relations.
 
+Each layer eliminates once.  The generators map only the codes of the rows
+at {t}.  The Gram matrix is a float64 BLAS product of the signed (+-1)
+polytabloids, accumulated over chunks of tabloid rows and then reduced mod
+p; every partial sum is an integer no larger than the column-group order,
+far below 2^53, so the product is exact.  The radical and head actions of
+all generators come from one solve against their stacked right-hand sides.
+Each rep holds its joint +-1 eigenspace split for the hom engine, computed
+on first use.
+
 The symmetric group acts on the left on tableau entries; a representation is
 stored as one matrix per adjacent transposition s_i = (i, i+1), i = 1..m-1,
 acting on column vectors.
@@ -17,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import ffla
 from .combinatorics import Partition, as_partition, conjugate, is_p_regular
+from .errors import EngineLimitError
 
 DEFAULT_DEGREE_CAP = 7
 
@@ -48,13 +58,24 @@ class SymRep:
     """A module for the symmetric group on {1..m} over GF(p).
 
     gens[k] is the dim x dim action matrix of the adjacent transposition
-    (k+1, k+2).  Arrays are treated as immutable.
+    (k+1, k+2).  Arrays are treated as immutable.  The joint eigenspace
+    splits are computed on first use and kept on the rep.
     """
 
     degree: int
     dim: int
     p: int
     gens: tuple[np.ndarray, ...]
+
+    @cached_property
+    def left_eigenspaces(self) -> dict[tuple[int, ...], np.ndarray] | None:
+        """Joint +-1 eigenspaces of the transposed s_1, s_3, ..., for maps out of this rep."""
+        return _joint_eigenspaces([a.T for a in self.gens[::2]], self.dim, self.p)
+
+    @cached_property
+    def right_eigenspaces(self) -> dict[tuple[int, ...], np.ndarray] | None:
+        """Joint +-1 eigenspaces of s_1, s_3, ..., for maps into this rep."""
+        return _joint_eigenspaces(self.gens[::2], self.dim, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +84,9 @@ class SpechtData:
 
     basis holds the standard polytabloids as columns, mod p, in canonical
     tabloid coordinates; gram is the matrix of the invariant form on that
-    basis; rep carries the generator action expressed in the same basis.
+    basis, computed by `_gram` as an exact float64 product of the signed
+    polytabloids; rep carries the generator action expressed in the same
+    basis.
     """
 
     shape: Partition
@@ -171,8 +194,11 @@ def _column_group(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
         perms = np.fromiter(perms, dtype=np.int8).reshape(-1, h)
         rows = np.hstack([np.repeat(rows, len(perms), axis=0), np.tile(perms, (len(rows), 1))])
     column = np.repeat(np.arange(len(heights)), heights)
-    a, b = np.nonzero(np.triu(column[:, None] == column, 1))  # cell pairs sharing a column
-    return rows, 1 - 2 * ((rows[:, a] > rows[:, b]).sum(axis=1) % 2)
+    odd = np.zeros(len(rows), dtype=bool)
+    # One cell pair sharing a column at a time: (1^8) has 28 pairs of 8! rows.
+    for a, b in zip(*np.nonzero(np.triu(column[:, None] == column, 1))):
+        odd ^= rows[:, a] > rows[:, b]
+    return rows, 1 - 2 * odd.astype(np.int64)
 
 
 def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
@@ -190,7 +216,11 @@ def _polytabloids(tableaux, shape: Partition, p: int) -> tuple[np.ndarray, np.nd
     rows, signs = _column_group(shape)
     cells = [[t[r][c] for c, h in enumerate(conjugate(shape)) for r in range(h)] for t in tableaux]
     weights = len(shape) ** (np.array(cells, dtype=np.int64).reshape(len(tableaux), -1) - 1)
-    index = _tabloid_index(shape, weights @ rows.T)
+    # One cell at a time, so the int8 rows are never widened to int64 at once.
+    codes = np.zeros((len(tableaux), len(rows)), dtype=np.int64)
+    for c in range(rows.shape[1]):
+        codes += np.multiply.outer(weights[:, c], rows[:, c])
+    index = _tabloid_index(shape, codes)
     # The tabloids of one column-group sum are distinct, so one assignment
     # writes every signed term.
     out = np.zeros((len(_tabloids(shape)[0]), len(tableaux)), dtype=np.int64)
@@ -198,9 +228,10 @@ def _polytabloids(tableaux, shape: Partition, p: int) -> tuple[np.ndarray, np.nd
     return out, index[:, 0]
 
 
-def _tabloid_perm(shape: Partition, i: int) -> np.ndarray:
-    """Index permutation of the canonical tabloid list under s_i = (i, i+1)."""
-    codes, k = _tabloids(shape)[0], len(shape)
+def _tabloid_perm(shape: Partition, i: int, codes: np.ndarray) -> np.ndarray:
+    """Positions in the canonical tabloid list of s_i = (i, i+1) applied to
+    the tabloids with the given codes."""
+    k = len(shape)
     lo, hi = k ** (i - 1), k**i
     return _tabloid_index(shape, codes + (codes // hi % k - codes // lo % k) * (lo - hi))
 
@@ -212,7 +243,7 @@ def gen_action_on_tabloids(shape: Partition, i: int, p: int, cap: int | None = N
     _check_cap(m, cap)
     if not 1 <= i < m:
         raise ValueError(f"generator index must satisfy 1 <= i < {m}, got {i}")
-    perm = _tabloid_perm(shape, i)
+    perm = _tabloid_perm(shape, i, _tabloids(shape)[0])
     mat = np.zeros((len(perm), len(perm)), dtype=np.int8)
     mat[perm, np.arange(len(perm))] = 1
     return mat
@@ -243,17 +274,53 @@ def _install(data: SpechtData) -> None:
     _DATA_CACHE.setdefault((data.shape, data.p), data)
 
 
+# rows x dim^2 of one Gram product.  OpenBLAS runs a product of at most
+# 4 * 65536 multiply-adds on the calling thread; on a shared 2-core host the
+# first threaded products of a process took up to 40 ms each.
+GRAM_CHUNK = 2**18
+
+
+def _gram(basis: np.ndarray, p: int) -> np.ndarray:
+    """basis.T @ basis mod p, from float64 products over chunks of rows.
+
+    Entries are read as signed residues (p - 1 as -1), so for polytabloids,
+    whose entries are +-1, every partial sum is an integer bounded by the
+    column-group order and the float64 sums are exact; other residues stay
+    exact while rows * (p/2)^2 < 2^53.  Only one chunk, of GRAM_CHUNK / dim^2
+    rows, is ever held as floats.
+    """
+    d = basis.shape[1]
+    step = max(1, GRAM_CHUNK // max(d, 1) ** 2)
+    gram = np.zeros((d, d))
+    for start in range(0, len(basis), step):
+        chunk = basis[start : start + step]
+        signed = chunk.astype(np.float64)
+        signed[chunk > p // 2] -= p
+        gram += signed.T @ signed
+    return gram.astype(np.int64) % p
+
+
+def _coordinates(b: np.ndarray, images: list[np.ndarray], p: int) -> tuple[np.ndarray, ...]:
+    """Coordinates in the independent columns of b of each matrix in images,
+    from one solve against their stacked columns."""
+    coeffs = ffla.solve_in_span(b, np.hstack(images), p)
+    if coeffs is None:
+        raise AssertionError  # pragma: no cover - every image lies in the span
+    return tuple(np.hsplit(coeffs, len(images)))
+
+
 def _build_specht_data(shape: Partition, p: int) -> SpechtData:
     m = sum(shape)
     std = _standard_tableaux(shape)
     basis, rows = _polytabloids(std, shape, p)
-    gram = basis.T @ basis % p
     # Standard Basis Theorem: the rows at the tabloids {t} of the standard
-    # tableaux t are invertible, so one square solve gives every generator.
+    # tableaux t are invertible, so one square solve gives every generator,
+    # and s_i need only map the tabloids of those rows.
     gens: tuple[np.ndarray, ...] = ()
     if m > 1:
-        moved = np.hstack([basis[_tabloid_perm(shape, i)[rows]] for i in range(1, m)])
-        gens = tuple(np.hsplit(ffla.solve_in_span(basis[rows], moved, p), m - 1))
+        codes = _tabloids(shape)[0][rows]
+        moved = [basis[_tabloid_perm(shape, i, codes)] for i in range(1, m)]
+        gens = _coordinates(basis[rows], moved, p)
     rep = SymRep(degree=m, dim=len(std), p=p, gens=gens)
     return SpechtData(
         shape=shape,
@@ -261,7 +328,7 @@ def _build_specht_data(shape: Partition, p: int) -> SpechtData:
         std_tableaux=std,
         tabloid_count=basis.shape[0],
         basis=basis,
-        gram=gram,
+        gram=_gram(basis, p),
         rep=rep,
     )
 
@@ -293,13 +360,9 @@ def _rad_subrep(shape: Partition, p: int) -> SymRep:
         return SymRep(degree=data.rep.degree, dim=0, p=p, gens=tuple(
             np.zeros((0, 0), dtype=np.int64) for _ in data.rep.gens
         ))
-    gens = []
-    for a in data.rep.gens:
-        coeffs = ffla.solve_in_span(kernel, a @ kernel % p, p)
-        if coeffs is None:
-            raise AssertionError  # pragma: no cover - the radical is a submodule
-        gens.append(coeffs)
-    return SymRep(degree=data.rep.degree, dim=r, p=p, gens=tuple(gens))
+    # The radical is a submodule, so each image lies in its span.
+    gens = _coordinates(kernel, [a @ kernel % p for a in data.rep.gens], p)
+    return SymRep(degree=data.rep.degree, dim=r, p=p, gens=gens)
 
 
 def simple_head(shape: Partition, p: int, cap: int | None = None) -> SymRep:
@@ -328,15 +391,10 @@ def _simple_head(shape: Partition, p: int) -> SymRep:
     _, last = ffla.rref(kernel.T[:, ::-1], p)
     skipped = np.zeros(d, dtype=bool)
     skipped[d - 1 - np.array(last, dtype=np.int64)] = True
-    comp = np.eye(d, dtype=np.int64)[:, ~skipped]
-    full = np.hstack([comp, kernel])
-    gens = []
-    for a in data.rep.gens:
-        coeffs = ffla.solve_in_span(full, a @ comp % p, p)
-        if coeffs is None:
-            raise AssertionError  # pragma: no cover - full is a basis
-        gens.append(coeffs[:q])
-    return SymRep(degree=data.rep.degree, dim=q, p=p, gens=tuple(gens))
+    full = np.hstack([np.eye(d, dtype=np.int64)[:, ~skipped], kernel])
+    # The images of the unit vectors e_j, j not skipped, are columns of A.
+    coeffs = _coordinates(full, [a[:, ~skipped] for a in data.rep.gens], p)
+    return SymRep(degree=data.rep.degree, dim=q, p=p, gens=tuple(c[:q] for c in coeffs))
 
 
 def hom_space(v: SymRep, w: SymRep) -> HomSpace:
@@ -385,8 +443,7 @@ def _commuting_intertwiners(v: SymRep, w: SymRep) -> np.ndarray | None:
     eigenvector of the B_i and u one of the A_i^T with the same
     eigenvalues; column-major vec(y u^T) is u kron y.  Otherwise None.
     """
-    left = _joint_eigenspaces([a.T for a in v.gens[::2]], v.dim, v.p)
-    right = _joint_eigenspaces(w.gens[::2], w.dim, w.p)
+    left, right = v.left_eigenspaces, w.right_eigenspaces
     if left is None or right is None:
         return None
     blocks = [np.kron(u, right[signs]) % v.p for signs, u in left.items() if signs in right]
@@ -444,7 +501,8 @@ def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = No
         return False
     lines = (p**homs.dim - 1) // (p - 1)
     if lines > 100_000:
-        raise ValueError(f"hom space unexpectedly large ({homs.dim}); refusing to enumerate")
+        raise EngineLimitError(
+            f"hom space of dimension {homs.dim} has {lines:,} lines, over the limit of 100,000")
     for coeffs in itertools.product(range(p), repeat=homs.dim):
         first_nonzero = next((c for c in coeffs if c), None)
         if first_nonzero != 1:

@@ -6,7 +6,9 @@ removal, ranks from integer minors, the weight order from enumerating
 root coefficients, echelon forms from a full dense elimination, hom
 spaces from one stacked Kronecker system, Specht modules from tabloids
 as tuples of sorted rows, one column permutation at a time, with each
-generator solved against the whole tall basis, the combinatorial sweep
+generator solved against the whole tall basis, the Gram matrix from one
+int64 product, the radical and head actions one generator at a time (the
+head's complement of the radical by greedy rank tests), the combinatorial sweep
 from the public scalar predicates, one weight at a time, and the four
 oracles as each hypothesis check through the public, self-validating
 predicates.
@@ -294,6 +296,39 @@ def specht_data_reference(shape: tuple[int, ...], p: int) -> dict:
         "gram": basis.T @ basis % p,
         "gens": tuple(gens),
     }
+
+
+def gram_reference(basis: np.ndarray, p: int) -> np.ndarray:
+    """The Gram matrix of a basis as one int64 product, reduced mod p."""
+    return basis.T @ basis % p
+
+
+def rad_subrep_reference(gram: np.ndarray, gens, p: int) -> tuple[int, tuple]:
+    """(dim, generators) of the radical of the form, one solve per generator."""
+    kernel = ffla.nullspace(gram, p)
+    r = kernel.shape[1]
+    if r == 0:
+        return 0, tuple(np.zeros((0, 0), dtype=np.int64) for _ in gens)
+    return r, tuple(ffla.solve_in_span(kernel, a @ kernel % p, p) for a in gens)
+
+
+def simple_head_reference(gram: np.ndarray, gens, p: int) -> tuple[int, tuple]:
+    """(dim, generators) of the head, completing the radical by unit vectors
+    in order and solving one generator at a time."""
+    d = len(gram)
+    kernel = ffla.nullspace(gram, p)
+    if kernel.shape[1] == 0:
+        return d, tuple(gens)
+    full = kernel
+    comp = []
+    for j in range(d):
+        candidate = np.hstack([full, np.eye(d, dtype=np.int64)[:, [j]]])
+        if ffla.rank(candidate, p) == candidate.shape[1]:
+            full, comp = candidate, comp + [j]
+    q = len(comp)
+    unit = np.eye(d, dtype=np.int64)[:, comp]
+    basis = np.hstack([unit, kernel])
+    return q, tuple(ffla.solve_in_span(basis, a @ unit % p, p)[:q] for a in gens)
 
 
 def sweep_comb_reference(primes: list[int], n_max: int, max_entry: int) -> harness.Report:

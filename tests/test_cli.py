@@ -4,6 +4,7 @@ import io
 import json
 import time
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from csext import cli
@@ -112,6 +113,28 @@ def test_engine_limit_counts_diagram_cells(capsys):
         code, _, err = run(capsys, "verify", "comb", "--p", "3", *argv)
         assert code == EXIT_LIMIT and time.perf_counter() - t0 < 5
         assert err.startswith("engine limit:") and "diagram cells" in err
+
+
+def test_engine_limit_before_huge_binomials(capsys):
+    # C(40,000, 20,000) has over 12,000 digits: refused from min(n, max_entry)
+    # alone, before math.comb (35 s at a million) or printing the count.
+    for size in ("20000", "1000000"):
+        for argv in (["verify", "comb"], ["table"]):
+            t0 = time.perf_counter()
+            code, _, err = run(capsys, *argv, "--p", "3", "--n", size, "--max-entry", size)
+            assert code == EXIT_LIMIT and time.perf_counter() - t0 < 5
+            assert err.startswith("engine limit:") and "more than 10,000,000 weights" in err
+
+
+def test_image_refusal_is_an_engine_limit(capsys, monkeypatch):
+    from csext import specht
+
+    # (3^12 - 1) / 2 = 265,720 lines, over the 100,000 that are enumerated.
+    big = specht.HomSpace(dim=12, maps=tuple(np.zeros((1, 1), dtype=np.int64) for _ in range(12)))
+    monkeypatch.setattr(specht, "hom_space", lambda v, w: big)
+    code, _, err = run(capsys, "verify", "sym", "--p", "3", "--m", "3")
+    assert code == EXIT_LIMIT
+    assert err.startswith("engine limit:") and "265,720 lines, over the limit of 100,000" in err
 
 
 def test_verify_sym_csv(capsys):

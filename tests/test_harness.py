@@ -280,6 +280,8 @@ def test_cache_corruption_recovers(tmp_path):
         {"gram": good["gram"][:1]},  # array shapes that disagree with dims
         {"gens": good["gens"][:1]},
         {"dims": good["dims"] + 1},
+        {"gram": (good["gram"] + 1) % 5},  # in range, but not the Gram matrix of basis
+        {"gens": good["gens"][[1, 0, 2]]},  # in range, but s_1 and s_2 swapped
     ]
     for change in corruptions:
         with open(path, "wb") as fh:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from csext import (
     tabloid_basis,
     tilde,
 )
+from csext import harness, specht
 from csext.specht import DegreeCapError, satisfies_relations
 
 import reference
@@ -113,6 +115,64 @@ def test_standard_rows_have_unit_diagonal_and_full_rank():
                 square = specht_data(lam, p).basis[rows]
                 assert (np.diag(square) == 1).all(), (lam, p)
                 assert ffla.rank(square, p) == len(square), (lam, p)
+
+
+LAYER_CASES = [(lam, p) for m in range(8) for lam in enum_partitions(m) for p in PRIMES] + [
+    ((2, 1, 1, 1, 1, 1, 1), 5), ((1,) * 8, 5)]
+
+
+def test_layers_match_per_generator_reference():
+    # The Gram matrix, radical action and head action of every case against
+    # the int64 product and the one-solve-per-generator loops.
+    for lam, p in LAYER_CASES:
+        data = specht_data(lam, p, cap=8)
+        assert _same_array(data.gram, reference.gram_reference(data.basis, p)), (lam, p)
+        cases = [(rad_subrep(lam, p, cap=8), reference.rad_subrep_reference)]
+        if is_p_regular(lam, p):
+            cases.append((simple_head(lam, p, cap=8), reference.simple_head_reference))
+        for rep, ref in cases:
+            dim, gens = ref(data.gram, data.rep.gens, p)
+            assert rep.dim == dim and len(rep.gens) == len(gens), (lam, p)
+            assert all(_same_array(g, w) for g, w in zip(rep.gens, gens)), (lam, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gram_is_exact_across_chunks(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    rows, cols = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 6))
+    entries = st.integers(0, p - 1) if data.draw(st.booleans()) else st.sampled_from([0, 1, p - 1])
+    basis = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=np.int64).reshape(rows, cols)
+    with pytest.MonkeyPatch.context() as mp:
+        # GRAM_CHUNK // cols^2 rows a product: from one row to all of them
+        mp.setattr(specht, "GRAM_CHUNK", data.draw(st.integers(1, 64)))
+        got = specht._gram(basis, p)
+    assert _same_array(got, reference.gram_reference(basis, p))
+
+
+def test_eigenspaces_split_once_per_rep_and_side(monkeypatch):
+    # Fresh caches, so every rep of the sweep is built here.
+    monkeypatch.setattr(specht, "_DATA_CACHE", {})
+    for name in ("_rad_kernel", "_rad_subrep", "_simple_head"):
+        monkeypatch.setattr(specht, name, functools.lru_cache(None)(getattr(specht, name).__wrapped__))
+    calls, sides = [], {"left": {}, "right": {}}
+    split, hom = specht._joint_eigenspaces, specht.hom_space
+
+    def counted_split(gens, dim, p):
+        calls.append(dim)
+        return split(gens, dim, p)
+
+    def recorded_hom(v, w):
+        if v.dim and w.dim:
+            sides["left"][id(v)], sides["right"][id(w)] = v, w
+        return hom(v, w)
+
+    monkeypatch.setattr(specht, "_joint_eigenspaces", counted_split)
+    monkeypatch.setattr(specht, "hom_space", recorded_hom)
+    report = harness.sweep_sym(5, 6)
+    assert report.mismatches == 0
+    assert len(calls) == len(sides["left"]) + len(sides["right"]) > 0
 
 
 def test_gen_action_is_permutation():
