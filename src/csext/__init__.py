@@ -8,6 +8,8 @@ side from scratch over GF(p) (tabloids, polytabloids, the invariant form)
 and the harness sweeps both against each other.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .combinatorics import (
     Partition,
@@ -67,4 +69,5 @@ from .specht import (
     tabloid_basis,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

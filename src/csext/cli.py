@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 from . import combinatorics as comb
@@ -25,8 +24,6 @@ from . import harness
 from ._version import __version__
 from .errors import EngineLimitError, ScopeError, ScopeReason
 from .oracle import ext1_gl, ext1_sym, is_prime
-
-CACHE_ENV = "CSEXT_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,10 +177,10 @@ def cmd_verify_sym(args) -> int:
     p = parse_prime(args.p)
     if p == 2:
         raise UsageError("verify sym requires an odd prime")
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
     degrees = parse_ints(args.m, "--m")
-    return _write_reports(
-        args, [harness.sweep_sym(p, m, cap=args.cap, cache_dir=cache_dir) for m in degrees])
+    for m in degrees:
+        harness.check_degree(m, args.cap)
+    return _write_reports(args, [harness.sweep_sym(p, m, cap=args.cap) for m in degrees])
 
 
 def _write_reports(args, reports: list[harness.Report]) -> int:
@@ -278,7 +275,6 @@ COMMANDS = {
         ("--p", dict(required=True, help="odd prime")),
         ("--m", dict(required=True, help="degree or comma-separated degrees")),
         ("--cap", dict(type=int, default=None, help="degree cap override (8 opt-in)")),
-        ("--cache-dir", dict(default=None, help=f"Specht cache directory (default ${CACHE_ENV})")),
         *_REPORT)),
     ("table",): (cmd_table, (
         ("--p", dict(required=True)),

@@ -1,4 +1,4 @@
-"""Verification sweeps, report generation and the on-disk Specht cache.
+"""Verification sweeps and report generation.
 
 Sweeps compare closed-form predictions against brute-force observations and
 record rows in a canonical order, so a report is byte-identical across runs
@@ -13,13 +13,9 @@ import io
 import itertools
 import json
 import math
-import os
 import time
-import warnings
-import zipfile
 from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +45,6 @@ MISMATCH = "mismatch"
 SKIPPED = "skipped"
 
 CSV_COLUMNS = ("check", "p", "size", "lam", "mu", "predicted", "observed", "status", "reason")
-
-CACHE_FORMAT_VERSION = 1
 
 
 def fmt_tuple(t) -> str:
@@ -393,7 +387,15 @@ def _hat_conjugate_vs_tilde(h: Weight, conj: Partition, p: int) -> str | None:
     return f"conj(hat)={fmt_tuple(lhs)}, tilde(conj)={fmt_tuple(rhs)}"
 
 
-def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLike | None = None) -> Report:
+def check_degree(m: int, cap: int | None) -> None:
+    """Refuse a sweep_sym degree before any work: m >= 0, and m within the
+    degree cap (DegreeCapError)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    specht._check_cap(m, cap)
+
+
+def sweep_sym(p: int, m: int, cap: int | None = None) -> Report:
     """Brute-force verification of the radical and extension predictions.
 
     For every completely splittable p-regular partition lam of m: compares
@@ -401,12 +403,12 @@ def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLi
     S^tilde(lam) hits the radical exactly when lam is big, and compares the
     predicted extension dimension against dim Hom(rad S^lam, D^mu) for every
     p-regular mu that lam does not strictly dominate.  Out-of-hypothesis
-    inputs become skipped rows, never silent omissions.
+    inputs become skipped rows, never silent omissions.  A degree that
+    check_degree refuses is refused before any work.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"sweep_sym requires an odd prime, got {p}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    check_degree(m, cap)
     t0 = time.perf_counter()
     rows: list[SweepRow] = []
     parts = enum_partitions(m)
@@ -420,7 +422,6 @@ def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLi
             rows.append(SweepRow("radical", p, m, lam_s, None, "", "", SKIPPED, e.reason.value))
             continue
 
-        _get_data(lam, p, cap, cache_dir)
         rd = specht.rad_dim(lam, p, cap)
         if pred.zero:
             pred_s = "rad=0"
@@ -433,7 +434,6 @@ def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLi
         )
 
         if not pred.zero:
-            _get_data(pred.source, p, cap, cache_dir)
             img_ok = specht.image_equals_rad(pred.source, lam, p, cap)
             rows.append(
                 SweepRow(
@@ -455,126 +455,12 @@ def sweep_sym(p: int, m: int, cap: int | None = None, cache_dir: str | os.PathLi
                                      ScopeReason.ORDER_HYPOTHESIS_FAILS.value))
                 continue
             predicted = ext1_sym(lam, mu, p).dim
-            _get_data(mu, p, cap, cache_dir)
             observed = specht.hom_rad_to_simple(lam, mu, p, cap)
             rows.append(
                 SweepRow("ext1", p, m, lam_s, mu_s, str(predicted), str(observed),
                          MATCH if predicted == observed else MISMATCH)
             )
 
-    config = {"p": p, "m": m, "cap": cap, "cache_dir": str(cache_dir) if cache_dir else None}
+    config = {"p": p, "m": m, "cap": cap}
     return _finish("sym", config, rows, {}, t0)
 
-
-def _get_data(shape: Partition, p: int, cap: int | None, cache_dir) -> specht.SpechtData:
-    if cache_dir is None:
-        return specht.specht_data(shape, p, cap)
-    return cached_specht_data(shape, p, cap, cache_dir)
-
-
-def cache_path(cache_dir: str | os.PathLike, shape: Partition, p: int) -> Path:
-    name = "-".join(str(x) for x in shape) or "0"
-    return Path(cache_dir) / f"specht_p{p}_{name}.npz"
-
-
-def _encode_tableaux(data: specht.SpechtData) -> np.ndarray:
-    m = sum(data.shape)
-    enc = np.zeros((len(data.std_tableaux), m), dtype=np.int64)
-    for k, t in enumerate(data.std_tableaux):
-        for r, row in enumerate(t):
-            for v in row:
-                enc[k, v - 1] = r
-    return enc
-
-
-def _decode_tableaux(enc: np.ndarray, shape: Partition) -> tuple[specht.Tableau, ...]:
-    out = []
-    for assignment in enc:
-        rows = [[] for _ in shape]
-        for v, r in enumerate(assignment, start=1):
-            rows[int(r)].append(v)
-        out.append(tuple(tuple(sorted(row)) for row in rows))
-    return tuple(out)
-
-
-def cache_put(data: specht.SpechtData, cache_dir: str | os.PathLike) -> Path:
-    """Persist one (shape, p) entry; writes are atomic per file."""
-    path = cache_path(cache_dir, data.shape, data.p)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    d = data.rep.dim
-    gens = (
-        np.stack(data.rep.gens)
-        if data.rep.gens
-        else np.zeros((0, d, d), dtype=np.int64)
-    )
-    tmp = path.with_suffix(".tmp.npz")
-    with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            format_version=np.int64(CACHE_FORMAT_VERSION),
-            p=np.int64(data.p),
-            shape=np.array(data.shape, dtype=np.int64),
-            dims=np.array([d, data.tabloid_count, sum(data.shape)], dtype=np.int64),
-            tableaux=_encode_tableaux(data),
-            basis=data.basis,
-            gram=data.gram,
-            gens=gens,
-        )
-    os.replace(tmp, path)
-    return path
-
-
-def cache_get(shape: Partition, p: int, cache_dir: str | os.PathLike) -> specht.SpechtData | None:
-    """Load one entry; stale versions, unreadable files, arrays that do not
-    fit their dims, p or shape, a gram that is not the Gram matrix of the
-    basis and generators that fail the Coxeter relations are misses."""
-    shape = as_partition(shape)
-    path = cache_path(cache_dir, shape, p)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as npz:
-            if int(npz["format_version"]) != CACHE_FORMAT_VERSION:
-                return None
-            if int(npz["p"]) != p or tuple(npz["shape"]) != shape:
-                warnings.warn(f"cache entry {path} does not match its key, ignoring")
-                return None
-            d, tabloid_count, m = (int(x) for x in npz["dims"])
-            tableaux, basis, gram, gens = (npz[k].astype(np.int64)
-                                           for k in ("tableaux", "basis", "gram", "gens"))
-        if (m != sum(shape) or tableaux.shape != (d, m) or basis.shape != (tabloid_count, d)
-                or gram.shape != (d, d) or gens.shape != (max(m - 1, 0), d, d)):
-            raise ValueError("array shapes disagree with dims")
-        if any(a.size and not 0 <= a.min() <= a.max() < p for a in (basis, gram, gens)):
-            raise ValueError(f"matrix entries outside [0, {p})")
-        if ((tableaux[:, :, None] == np.arange(len(shape))).sum(axis=1) != shape).any():
-            raise ValueError("tableaux do not fill the shape")
-        if not np.array_equal(specht._gram(basis, p), gram):
-            raise ValueError("gram is not the Gram matrix of basis")
-        rep = specht.SymRep(degree=m, dim=d, p=p, gens=tuple(gens))
-        if not specht.satisfies_relations(rep):
-            raise ValueError("generators fail the Coxeter relations")
-        return specht.SpechtData(
-            shape=shape, p=p, std_tableaux=_decode_tableaux(tableaux, shape),
-            tabloid_count=tabloid_count, basis=basis, gram=gram, rep=rep,
-        )
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError) as e:
-        warnings.warn(f"corrupt cache entry {path} ({e}); recomputing")
-        return None
-
-
-def cached_specht_data(
-    shape: Partition, p: int, cap: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-) -> specht.SpechtData:
-    """Disk-backed specht_data: load if present, else compute and persist."""
-    shape = as_partition(shape)
-    if cache_dir is not None:
-        hit = cache_get(shape, p, cache_dir)
-        if hit is not None:
-            specht._install(hit)
-            return hit
-    data = specht.specht_data(shape, p, cap)
-    if cache_dir is not None:
-        cache_put(data, cache_dir)
-    return data

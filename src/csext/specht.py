@@ -14,8 +14,9 @@ polytabloids, accumulated over chunks of tabloid rows and then reduced mod
 p; every partial sum is an integer no larger than the column-group order,
 far below 2^53, so the product is exact.  The radical and head actions of
 all generators come from one solve against their stacked right-hand sides.
-Each rep holds its joint +-1 eigenspace split for the hom engine, computed
-on first use.
+Each (shape, p) has one SpechtData record, built once a process, which
+computes its radical and head on first use and keeps them; each rep
+likewise holds its joint +-1 eigenspace split for the hom engine.
 
 The symmetric group acts on the left on tableau entries; a representation is
 stored as one matrix per adjacent transposition s_i = (i, i+1), i = 1..m-1,
@@ -86,7 +87,8 @@ class SpechtData:
     tabloid coordinates; gram is the matrix of the invariant form on that
     basis, computed by `_gram` as an exact float64 product of the signed
     polytabloids; rep carries the generator action expressed in the same
-    basis.
+    basis.  The radical kernel and the radical and head actions are
+    computed on first use and kept on the record.
     """
 
     shape: Partition
@@ -96,6 +98,46 @@ class SpechtData:
     basis: np.ndarray
     gram: np.ndarray
     rep: SymRep
+
+    @cached_property
+    def rad_kernel(self) -> np.ndarray:
+        """Basis of the form's radical (the Gram kernel), as columns."""
+        return ffla.nullspace(self.gram, self.p)
+
+    @cached_property
+    def rad_rep(self) -> SymRep:
+        """The induced action on the radical."""
+        kernel, p, rep = self.rad_kernel, self.p, self.rep
+        r = kernel.shape[1]
+        if r == 0:
+            return SymRep(degree=rep.degree, dim=0, p=p, gens=tuple(
+                np.zeros((0, 0), dtype=np.int64) for _ in rep.gens
+            ))
+        # The radical is a submodule, so each image lies in its span.
+        gens = _coordinates(kernel, [a @ kernel % p for a in rep.gens], p)
+        return SymRep(degree=rep.degree, dim=r, p=p, gens=gens)
+
+    @cached_property
+    def head_rep(self) -> SymRep:
+        """The action on the head S / rad S, in a complement of the radical
+        spanned by unit vectors."""
+        kernel, p, rep = self.rad_kernel, self.p, self.rep
+        d, r = rep.dim, kernel.shape[1]
+        q = d - r
+        if r == 0:
+            return rep
+        # Greedy completion of the radical to a basis by unit vectors; the head
+        # action is read off in the first block of the combined coordinates.
+        # e_j is skipped iff it lies in span(radical, e_0..e_{j-1}), that is iff
+        # some radical vector has its last nonzero entry at j: a pivot of the
+        # radical's coordinates read right to left.
+        _, last = ffla.rref(kernel.T[:, ::-1], p)
+        skipped = np.zeros(d, dtype=bool)
+        skipped[d - 1 - np.array(last, dtype=np.int64)] = True
+        full = np.hstack([np.eye(d, dtype=np.int64)[:, ~skipped], kernel])
+        # The images of the unit vectors e_j, j not skipped, are columns of A.
+        coeffs = _coordinates(full, [a[:, ~skipped] for a in rep.gens], p)
+        return SymRep(degree=rep.degree, dim=q, p=p, gens=tuple(c[:q] for c in coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +298,7 @@ def specht_data(shape: Partition, p: int, cap: int | None = None) -> SpechtData:
     return _specht_data(shape, p)
 
 
-# Keyed (shape, p); behaves as a single-writer/multi-reader map.  The harness
-# primes it with disk-cached entries via _install.
+# The one record of each (shape, p), which also holds its radical and head.
 _DATA_CACHE: dict[tuple[Partition, int], SpechtData] = {}
 
 
@@ -268,10 +309,6 @@ def _specht_data(shape: Partition, p: int) -> SpechtData:
         hit = _build_specht_data(shape, p)
         _DATA_CACHE[key] = hit
     return hit
-
-
-def _install(data: SpechtData) -> None:
-    _DATA_CACHE.setdefault((data.shape, data.p), data)
 
 
 # rows x dim^2 of one Gram product.  OpenBLAS runs a product of at most
@@ -335,34 +372,12 @@ def _build_specht_data(shape: Partition, p: int) -> SpechtData:
 
 def rad_dim(shape: Partition, p: int, cap: int | None = None) -> int:
     """Dimension of the form's radical in S^shape: dim - rank(gram)."""
-    specht_data(shape, p, cap)
-    return _rad_kernel(as_partition(shape), p).shape[1]
-
-
-@lru_cache(maxsize=None)
-def _rad_kernel(shape: Partition, p: int) -> np.ndarray:
-    """Basis of the form's radical (the Gram kernel), as columns."""
-    return ffla.nullspace(_specht_data(shape, p).gram, p)
+    return specht_data(shape, p, cap).rad_kernel.shape[1]
 
 
 def rad_subrep(shape: Partition, p: int, cap: int | None = None) -> SymRep:
     """The induced action on the radical of the invariant form."""
-    specht_data(shape, p, cap)
-    return _rad_subrep(as_partition(shape), p)
-
-
-@lru_cache(maxsize=None)
-def _rad_subrep(shape: Partition, p: int) -> SymRep:
-    data = _specht_data(shape, p)
-    kernel = _rad_kernel(shape, p)
-    r = kernel.shape[1]
-    if r == 0:
-        return SymRep(degree=data.rep.degree, dim=0, p=p, gens=tuple(
-            np.zeros((0, 0), dtype=np.int64) for _ in data.rep.gens
-        ))
-    # The radical is a submodule, so each image lies in its span.
-    gens = _coordinates(kernel, [a @ kernel % p for a in data.rep.gens], p)
-    return SymRep(degree=data.rep.degree, dim=r, p=p, gens=gens)
+    return specht_data(shape, p, cap).rad_rep
 
 
 def simple_head(shape: Partition, p: int, cap: int | None = None) -> SymRep:
@@ -370,31 +385,7 @@ def simple_head(shape: Partition, p: int, cap: int | None = None) -> SymRep:
     shape = as_partition(shape)
     if not is_p_regular(shape, p):
         raise ValueError(f"{shape} is not {p}-regular, the simple head is not defined")
-    specht_data(shape, p, cap)
-    return _simple_head(shape, p)
-
-
-@lru_cache(maxsize=None)
-def _simple_head(shape: Partition, p: int) -> SymRep:
-    data = _specht_data(shape, p)
-    d = data.rep.dim
-    kernel = _rad_kernel(shape, p)
-    r = kernel.shape[1]
-    q = d - r
-    if r == 0:
-        return data.rep
-    # Greedy completion of the radical to a basis by unit vectors; the head
-    # action is read off in the first block of the combined coordinates.
-    # e_j is skipped iff it lies in span(radical, e_0..e_{j-1}), that is iff
-    # some radical vector has its last nonzero entry at j: a pivot of the
-    # radical's coordinates read right to left.
-    _, last = ffla.rref(kernel.T[:, ::-1], p)
-    skipped = np.zeros(d, dtype=bool)
-    skipped[d - 1 - np.array(last, dtype=np.int64)] = True
-    full = np.hstack([np.eye(d, dtype=np.int64)[:, ~skipped], kernel])
-    # The images of the unit vectors e_j, j not skipped, are columns of A.
-    coeffs = _coordinates(full, [a[:, ~skipped] for a in data.rep.gens], p)
-    return SymRep(degree=data.rep.degree, dim=q, p=p, gens=tuple(c[:q] for c in coeffs))
+    return specht_data(shape, p, cap).head_rep
 
 
 def hom_space(v: SymRep, w: SymRep) -> HomSpace:
@@ -490,9 +481,8 @@ def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = No
     the hom space are tested, so the answer does not depend on the choice of
     basis maps.
     """
-    lam = as_partition(lam)
     data = specht_data(lam, p, cap)
-    kernel = _rad_kernel(lam, p)
+    kernel = data.rad_kernel
     r = kernel.shape[1]
     if r == 0:
         return False

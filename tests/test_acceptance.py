@@ -176,28 +176,10 @@ def test_criterion_7_structural_suites(capsys):
             if len(standard_tableaux(lam)) != reference.hook_length_count(lam):
                 problems.append(f"tableau count off for {lam}")
 
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as td:
-        for lam, p in [((3, 2), 3), ((2, 2, 1), 5), ((1, 1, 1, 1), 7)]:
-            data = specht_data(lam, p)
-            harness.cache_put(data, td)
-            got = harness.cache_get(lam, p, td)
-            same = (
-                got is not None
-                and got.std_tableaux == data.std_tableaux
-                and got.basis.dtype == data.basis.dtype
-                and np.array_equal(got.basis, data.basis)
-                and np.array_equal(got.gram, data.gram)
-                and all(np.array_equal(a, b) for a, b in zip(got.rep.gens, data.rep.gens))
-            )
-            if not same:
-                problems.append(f"cache round trip not bit-exact for {lam}, p={p}")
-
     with capsys.disabled():
         report(7, not problems,
                f"{reps_checked} representations pass relation checks, {cases} rank-nullity "
-               f"cases, tableau counts m<=7, cache round trips: {len(problems)} failures")
+               f"cases, tableau counts m<=7: {len(problems)} failures")
 
 
 def test_criterion_8_gl_level_exclusion(capsys):

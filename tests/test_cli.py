@@ -5,6 +5,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from csext import cli
@@ -86,7 +87,25 @@ def test_verify_sym(capsys, tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out_file.read_text())
     assert payload["summary"]["mismatched"] == 0
-    assert payload["config"] == {"p": 3, "m": 4, "cap": None, "cache_dir": None}
+    assert payload["config"] == {"p": 3, "m": 4, "cap": None}
+
+
+def test_verify_sym_refuses_degrees_before_any_sweep(capsys, monkeypatch):
+    # A bad degree anywhere in --m is refused before the first sweep runs.
+    from csext import harness
+
+    monkeypatch.setattr(harness, "sweep_sym", lambda *a, **k: pytest.fail("a sweep ran"))
+    for degrees, message in (("8,9", "degree 9 exceeds the cap 8"), ("8,-1", "nonnegative")):
+        code, out, err = run(capsys, "verify", "sym", "--p", "7", "--m", degrees, "--cap", "8")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and message in err
+
+
+def test_verify_sym_has_no_cache_option(capsys):
+    code, _, err = run(capsys, "verify", "sym", "--p", "3", "--m", "3", "--cache-dir", "d")
+    assert code == EXIT_USAGE and "--cache-dir" in err
+    # --ca was ambiguous between --cap and --cache-dir
+    assert cli.parse_args(["verify", "sym", "--p", "3", "--m", "3", "--ca", "8"]).cap == 8
 
 
 def test_verify_comb(capsys):
@@ -177,8 +196,8 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 
     real = harness.sweep_sym
 
-    def fake(p, m, cap=None, cache_dir=None):
-        report = real(p, m, cap=cap, cache_dir=cache_dir)
+    def fake(p, m, cap=None):
+        report = real(p, m, cap=cap)
         report.rows.append(
             harness.SweepRow("ext1", p, m, "(2,2)", "(4)", "1", "0", harness.MISMATCH)
         )
@@ -191,7 +210,8 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
 
 COMMAND_WORDS = ["ext", "gl", "sym", "inspect", "verify", "comb", "table"]
 TOKENS = [
-    # every option, and abbreviations of some (ambiguous ones included)
+    # every option, and abbreviations of some (ambiguous ones included), and
+    # --cache-dir, an option no command has
     "--p", "--lambda", "--mu", "--format", "--weight", "--partition", "--n", "--m",
     "--max-entry", "--cap", "--cache-dir", "--out", "--lam", "--l", "--ma", "--max",
     "--mu=1", "--we", "--pa", "--f", "--fo", "--c", "--ca", "--cac", "--o",
@@ -216,7 +236,7 @@ OPTIONAL = {
     ("ext", "sym"): [["--fo", "json"], ["--mu", "3,1"]],
     ("inspect",): [["--format", "json"], ["--n", "4"]],
     ("verify", "comb"): [["--format", "csv"], ["--out", "report.txt"]],
-    ("verify", "sym"): [["--cap", "8"], ["--cache-dir", "d"], ["--format=json"]],
+    ("verify", "sym"): [["--cap", "8"], ["--format=json"]],
     ("table",): [["--format", "csv"], ["--m", "5"]],
 }
 

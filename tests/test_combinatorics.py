@@ -357,3 +357,9 @@ def test_scalar_modules_import_no_numpy():
                 outside.add(node.module.split(".")[0])
     assert seen == {"combinatorics", "oracle", "errors"}
     assert "numpy" not in outside
+
+
+def test_package_exports_names_not_submodules():
+    assert csext.__all__
+    for name in csext.__all__:
+        assert not isinstance(getattr(csext, name), type(csext)), name

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csext import combinatorics as comb
-from csext import harness, specht
+from csext import harness
 from csext.errors import EngineLimitError
 from csext.harness import MATCH, SKIPPED, Report
+from csext.specht import DegreeCapError
 
 import reference
 
@@ -194,6 +195,16 @@ def test_sweep_sym_degree_8_over_gf3():
     assert any(r.status == MATCH and r.check == "ext1" for r in report.rows)
 
 
+def test_sweep_sym_refuses_degrees_before_any_work(monkeypatch):
+    monkeypatch.setattr(harness, "enum_partitions", lambda m: pytest.fail("the sweep started"))
+    with pytest.raises(DegreeCapError, match="degree 8 exceeds the cap 7"):
+        harness.sweep_sym(3, 8)
+    with pytest.raises(DegreeCapError, match="degree 9 exceeds the cap 8"):
+        harness.sweep_sym(5, 9, cap=8)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        harness.sweep_sym(3, -1)
+
+
 def test_sweep_sym_rejects_even_or_composite_p():
     with pytest.raises(ValueError):
         harness.sweep_sym(2, 4)
@@ -226,76 +237,3 @@ def test_report_csv_layout():
     assert lines[0] == "check,p,size,lam,mu,predicted,observed,status,reason"
     assert len(lines) == len(report.rows) + 1
 
-
-def test_cache_round_trip_bit_exact(tmp_path):
-    data = harness.cached_specht_data((3, 2), 3, cache_dir=tmp_path)
-    assert harness.cache_path(tmp_path, (3, 2), 3).exists()
-    got = harness.cache_get((3, 2), 3, tmp_path)
-    assert got is not None
-    assert got.shape == data.shape and got.p == data.p
-    assert got.std_tableaux == data.std_tableaux
-    assert got.tabloid_count == data.tabloid_count
-    for a, b in [(got.basis, data.basis), (got.gram, data.gram)]:
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert len(got.rep.gens) == len(data.rep.gens)
-    for a, b in zip(got.rep.gens, data.rep.gens):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_cache_miss_on_empty_and_version_gate(tmp_path):
-    assert harness.cache_get((2, 1), 3, tmp_path) is None
-    harness.cache_put(specht.specht_data((2, 1), 3), tmp_path)
-    assert harness.cache_get((2, 1), 3, tmp_path) is not None
-    old = harness.CACHE_FORMAT_VERSION
-    try:
-        harness.CACHE_FORMAT_VERSION = old + 1
-        assert harness.cache_get((2, 1), 3, tmp_path) is None
-    finally:
-        harness.CACHE_FORMAT_VERSION = old
-
-
-def test_cache_corruption_recovers(tmp_path):
-    expected = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
-    path = harness.cache_path(tmp_path, (2, 2), 5)
-    with np.load(path) as npz:
-        good = dict(npz)
-    path.write_bytes(b"not an archive")
-    with pytest.warns(UserWarning):
-        data = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
-    assert data.rep.dim == 2
-    # overwritten with a good entry
-    assert harness.cache_get((2, 2), 5, tmp_path) is not None
-
-    def changed(name, index, value):
-        arr = good[name].copy()
-        arr[index] = value
-        return {name: arr}
-
-    corruptions = [
-        changed("tableaux", (0, 0), 5),  # row indices outside the shape
-        changed("tableaux", (0, 0), -1),
-        changed("gram", (0, 0), 5),  # matrix entries outside [0, p)
-        changed("gens", (0, 0, 0), -1),
-        changed("basis", (0, 0), 7),
-        {"gram": good["gram"][:1]},  # array shapes that disagree with dims
-        {"gens": good["gens"][:1]},
-        {"dims": good["dims"] + 1},
-        {"gram": (good["gram"] + 1) % 5},  # in range, but not the Gram matrix of basis
-        {"gens": good["gens"][[1, 0, 2]]},  # in range, but s_1 and s_2 swapped
-    ]
-    for change in corruptions:
-        with open(path, "wb") as fh:
-            np.savez(fh, **{**good, **change})
-        with pytest.warns(UserWarning, match="corrupt cache entry"):
-            data = harness.cached_specht_data((2, 2), 5, cache_dir=tmp_path)
-        assert data.std_tableaux == expected.std_tableaux
-        assert np.array_equal(data.gram, expected.gram)
-        assert harness.cache_get((2, 2), 5, tmp_path) is not None
-
-
-def test_sweep_sym_uses_cache_dir(tmp_path):
-    report = harness.sweep_sym(3, 4, cache_dir=tmp_path)
-    assert report.mismatches == 0
-    assert harness.cache_path(tmp_path, (2, 2), 3).exists()
-    again = harness.sweep_sym(3, 4, cache_dir=tmp_path)
-    assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in report.rows]

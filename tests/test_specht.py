@@ -1,4 +1,3 @@
-import functools
 import math
 import warnings
 
@@ -151,11 +150,28 @@ def test_gram_is_exact_across_chunks(data):
     assert _same_array(got, reference.gram_reference(basis, p))
 
 
-def test_eigenspaces_split_once_per_rep_and_side(monkeypatch):
-    # Fresh caches, so every rep of the sweep is built here.
+def test_gram_kernel_once_per_shape_and_p(monkeypatch):
+    # From an empty record cache, every (shape, p) of the sweep is built
+    # here, and its radical kernel is computed once however often the sweep
+    # asks for its radical or head.
     monkeypatch.setattr(specht, "_DATA_CACHE", {})
-    for name in ("_rad_kernel", "_rad_subrep", "_simple_head"):
-        monkeypatch.setattr(specht, name, functools.lru_cache(None)(getattr(specht, name).__wrapped__))
+    calls, nullspace = [], ffla.nullspace
+
+    def counted(a, p):
+        calls.append(a)
+        return nullspace(a, p)
+
+    monkeypatch.setattr(ffla, "nullspace", counted)
+    report = harness.sweep_sym(5, 6)
+    assert report.mismatches == 0
+    records = list(specht._DATA_CACHE.values())
+    grams = [sum(a is data.gram for a in calls) for data in records]
+    assert len(records) > 0 and grams == [1] * len(records)
+
+
+def test_eigenspaces_split_once_per_rep_and_side(monkeypatch):
+    # A fresh record cache, so every rep of the sweep is built here.
+    monkeypatch.setattr(specht, "_DATA_CACHE", {})
     calls, sides = [], {"left": {}, "right": {}}
     split, hom = specht._joint_eigenspaces, specht.hom_space
 
