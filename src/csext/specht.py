@@ -3,20 +3,25 @@
 Builds the tabloid permutation module M^lam, the Specht module S^lam in its
 standard polytabloid basis, the Gram matrix of the invariant bilinear form
 (tabloids orthonormal), the radical of that form, the simple head D^lam, and
-spaces of module homomorphisms.  Everything is a dense integer matrix mod p.
-Tabloids are integer codes, each polytabloid is one signed scatter over the
-column group, and the generators come from one square solve on the rows at
-the tabloids of the standard tableaux, with no straightening relations.
+spaces of module homomorphisms.  The matrices of a module (Gram matrix,
+generator actions, radical, head) are dense integer matrices mod p, dim x
+dim; the tabloid space is never held densely.  Tabloids are integer codes,
+and each polytabloid is kept as its coded terms: the tabloid positions of
+its signed column-group sum, one +-1 entry per column-group element, sorted
+by position.
 
-Each layer eliminates once.  The generators map only the codes of the rows
-at {t}.  The Gram matrix is a float64 BLAS product of the signed (+-1)
-polytabloids, accumulated over chunks of tabloid rows and then reduced mod
+Each layer eliminates once.  The generators come from one square solve,
+with no straightening relations, on the rows of the polytabloids at the
+tabloids {t} of the standard tableaux and at their images under each s_i;
+only those rows are gathered from the coded terms.  The Gram matrix is a
+float64 BLAS product of the signed (+-1) polytabloids, accumulated over
+chunks of tabloid rows scattered from the sorted terms and then reduced mod
 p; every partial sum is an integer no larger than the column-group order,
 far below 2^53, so the product is exact.  The radical and head actions of
 all generators come from one solve against their stacked right-hand sides.
 Each (shape, p) has one SpechtData record, built once a process, which
-computes its radical and head on first use and keeps them; each rep
-likewise holds its joint +-1 eigenspace split for the hom engine.
+computes its radical and head on first use and keeps them, all read-only;
+each rep likewise holds its joint +-1 eigenspace split for the hom engine.
 
 The symmetric group acts on the left on tableau entries; a representation is
 stored as one matrix per adjacent transposition s_i = (i, i+1), i = 1..m-1,
@@ -54,19 +59,29 @@ def _check_cap(m: int, cap: int | None) -> None:
         )
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """The array, made read-only: the records are shared by the process."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SymRep:
     """A module for the symmetric group on {1..m} over GF(p).
 
     gens[k] is the dim x dim action matrix of the adjacent transposition
-    (k+1, k+2).  Arrays are treated as immutable.  The joint eigenspace
-    splits are computed on first use and kept on the rep.
+    (k+1, k+2).  The generator arrays are made read-only.  The joint
+    eigenspace splits are computed on first use and kept on the rep.
     """
 
     degree: int
     dim: int
     p: int
     gens: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for a in self.gens:
+            _frozen(a)
 
     @cached_property
     def left_eigenspaces(self) -> dict[tuple[int, ...], np.ndarray] | None:
@@ -83,26 +98,27 @@ class SymRep:
 class SpechtData:
     """S^shape over GF(p): standard basis, invariant form and action.
 
-    basis holds the standard polytabloids as columns, mod p, in canonical
-    tabloid coordinates; gram is the matrix of the invariant form on that
+    The basis is the standard polytabloids, one per standard tableau; no
+    array of the record has a row per tabloid (`polytabloid` gives one in
+    tabloid coordinates).  gram is the matrix of the invariant form on that
     basis, computed by `_gram` as an exact float64 product of the signed
     polytabloids; rep carries the generator action expressed in the same
     basis.  The radical kernel and the radical and head actions are
-    computed on first use and kept on the record.
+    computed on first use and kept on the record.  Every array is
+    read-only, since the record is shared by the whole process.
     """
 
     shape: Partition
     p: int
     std_tableaux: tuple[Tableau, ...]
     tabloid_count: int
-    basis: np.ndarray
     gram: np.ndarray
     rep: SymRep
 
     @cached_property
     def rad_kernel(self) -> np.ndarray:
         """Basis of the form's radical (the Gram kernel), as columns."""
-        return ffla.nullspace(self.gram, self.p)
+        return _frozen(ffla.nullspace(self.gram, self.p))
 
     @cached_property
     def rad_rep(self) -> SymRep:
@@ -201,7 +217,7 @@ def _tabloids(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     """
     m, k = sum(shape), len(shape)
     if k**m >= 2**63:
-        raise DegreeCapError(f"tabloid codes of {shape} reach {k}^{m}, beyond 64-bit integers")
+        raise EngineLimitError(f"tabloid codes of {shape} reach {k}^{m}, beyond 64-bit integers")
     weights = k ** np.arange(m, dtype=np.int64)
     codes = np.zeros(1, dtype=np.int64)
     left = np.arange(m)[None, :]  # entries not yet placed, as digit positions
@@ -240,7 +256,7 @@ def _column_group(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
     # One cell pair sharing a column at a time: (1^8) has 28 pairs of 8! rows.
     for a, b in zip(*np.nonzero(np.triu(column[:, None] == column, 1))):
         odd ^= rows[:, a] > rows[:, b]
-    return rows, 1 - 2 * odd.astype(np.int64)
+    return rows, np.where(odd, np.int8(-1), np.int8(1))
 
 
 def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
@@ -250,24 +266,50 @@ def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
     """
     shape = as_partition(tuple(len(row) for row in t))
     _check_cap(sum(shape), cap)
-    return _polytabloids((t,), shape, p)[0].ravel()
+    terms, _ = _polytabloids((t,), shape)
+    return _basis_rows(terms, np.arange(len(_tabloids(shape)[0])), 1, p).ravel()
 
 
-def _polytabloids(tableaux, shape: Partition, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polytabloids of the tableaux as matrix columns, and the rows of their {t}."""
-    rows, signs = _column_group(shape)
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _polytabloids(tableaux, shape: Partition) -> tuple[Terms, np.ndarray]:
+    """The polytabloids of the tableaux as the terms of a tabloids x
+    len(tableaux) matrix, and the rows of the tabloids {t}.
+
+    The terms are (row, column, +-1 sign) triples sorted by row.  The
+    tabloids of one column-group sum are distinct, so no two terms share a
+    row and a column.
+    """
+    group, signs = _column_group(shape)
+    index = _tabloid_index(shape, _group_codes(tableaux, shape, group))
+    order = np.argsort(index, axis=None)
+    rows, signs = index.ravel()[order], signs[order % len(group)]
+    order //= len(group)  # in place, now the column of each term
+    # Group element 0 is the identity; copied, so no view keeps index alive.
+    return (rows, order, signs), index[:, 0].copy()
+
+
+def _group_codes(tableaux, shape: Partition, group: np.ndarray) -> np.ndarray:
+    """Tabloid codes of each column-group element applied to each tableau."""
     cells = [[t[r][c] for c, h in enumerate(conjugate(shape)) for r in range(h)] for t in tableaux]
     weights = len(shape) ** (np.array(cells, dtype=np.int64).reshape(len(tableaux), -1) - 1)
     # One cell at a time, so the int8 rows are never widened to int64 at once.
-    codes = np.zeros((len(tableaux), len(rows)), dtype=np.int64)
-    for c in range(rows.shape[1]):
-        codes += np.multiply.outer(weights[:, c], rows[:, c])
-    index = _tabloid_index(shape, codes)
-    # The tabloids of one column-group sum are distinct, so one assignment
-    # writes every signed term.
-    out = np.zeros((len(_tabloids(shape)[0]), len(tableaux)), dtype=np.int64)
-    out[index, np.arange(len(tableaux))[:, None]] = signs % p
-    return out, index[:, 0]
+    codes = np.zeros((len(tableaux), len(group)), dtype=np.int64)
+    for c in range(group.shape[1]):
+        codes += np.multiply.outer(weights[:, c], group[:, c])
+    return codes
+
+
+def _basis_rows(terms: Terms, wanted: np.ndarray, dim: int, p: int) -> np.ndarray:
+    """The rows of the polytabloid matrix at the tabloid positions wanted, mod p."""
+    rows, cols, signs = terms
+    lo, hi = np.searchsorted(rows, wanted), np.searchsorted(rows, wanted, side="right")
+    n = hi - lo
+    take = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    out = np.zeros((len(wanted), dim), dtype=np.int64)
+    out[np.repeat(np.arange(len(wanted)), n), cols[take]] = signs[take]
+    return out % p
 
 
 def _tabloid_perm(shape: Partition, i: int, codes: np.ndarray) -> np.ndarray:
@@ -317,24 +359,24 @@ def _specht_data(shape: Partition, p: int) -> SpechtData:
 GRAM_CHUNK = 2**18
 
 
-def _gram(basis: np.ndarray, p: int) -> np.ndarray:
-    """basis.T @ basis mod p, from float64 products over chunks of rows.
+def _gram(terms: Terms, count: int, dim: int, p: int) -> np.ndarray:
+    """S.T @ S mod p for the count x dim polytabloid matrix S with these
+    terms, from float64 products over chunks of GRAM_CHUNK / dim^2 rows.
 
-    Entries are read as signed residues (p - 1 as -1), so for polytabloids,
-    whose entries are +-1, every partial sum is an integer bounded by the
-    column-group order and the float64 sums are exact; other residues stay
-    exact while rows * (p/2)^2 < 2^53.  Only one chunk, of GRAM_CHUNK / dim^2
-    rows, is ever held as floats.
+    Each chunk is scattered from the terms of its rows, the only rows ever
+    held densely.  The entries are +-1, so every partial sum is an integer
+    bounded by the column-group order and the float64 sums are exact.
     """
-    d = basis.shape[1]
-    step = max(1, GRAM_CHUNK // max(d, 1) ** 2)
-    gram = np.zeros((d, d))
-    for start in range(0, len(basis), step):
-        chunk = basis[start : start + step]
-        signed = chunk.astype(np.float64)
-        signed[chunk > p // 2] -= p
-        gram += signed.T @ signed
-    return gram.astype(np.int64) % p
+    rows, cols, signs = terms
+    step = max(1, GRAM_CHUNK // max(dim, 1) ** 2)
+    starts = np.arange(0, count, step)
+    cuts = np.searchsorted(rows, np.append(starts, count))
+    gram = np.zeros((dim, dim))
+    for start, a, b in zip(starts.tolist(), cuts[:-1].tolist(), cuts[1:].tolist()):
+        chunk = np.zeros((min(step, count - start), dim))
+        chunk[rows[a:b] - start, cols[a:b]] = signs[a:b]
+        gram += chunk.T @ chunk
+    return _frozen(gram.astype(np.int64) % p)
 
 
 def _coordinates(b: np.ndarray, images: list[np.ndarray], p: int) -> tuple[np.ndarray, ...]:
@@ -348,25 +390,26 @@ def _coordinates(b: np.ndarray, images: list[np.ndarray], p: int) -> tuple[np.nd
 
 def _build_specht_data(shape: Partition, p: int) -> SpechtData:
     m = sum(shape)
+    count = len(_tabloids(shape)[0])  # first, as it refuses codes beyond int64
     std = _standard_tableaux(shape)
-    basis, rows = _polytabloids(std, shape, p)
+    d = len(std)
+    terms, at = _polytabloids(std, shape)
     # Standard Basis Theorem: the rows at the tabloids {t} of the standard
     # tableaux t are invertible, so one square solve gives every generator,
     # and s_i need only map the tabloids of those rows.
     gens: tuple[np.ndarray, ...] = ()
     if m > 1:
-        codes = _tabloids(shape)[0][rows]
-        moved = [basis[_tabloid_perm(shape, i, codes)] for i in range(1, m)]
-        gens = _coordinates(basis[rows], moved, p)
-    rep = SymRep(degree=m, dim=len(std), p=p, gens=gens)
+        codes = _tabloids(shape)[0][at]
+        wanted = np.concatenate([at] + [_tabloid_perm(shape, i, codes) for i in range(1, m)])
+        block = _basis_rows(terms, wanted, d, p)
+        gens = _coordinates(block[:d], np.vsplit(block[d:], m - 1), p)
     return SpechtData(
         shape=shape,
         p=p,
         std_tableaux=std,
-        tabloid_count=basis.shape[0],
-        basis=basis,
-        gram=_gram(basis, p),
-        rep=rep,
+        tabloid_count=count,
+        gram=_gram(terms, count, d, p),
+        rep=SymRep(degree=m, dim=d, p=p, gens=gens),
     )
 
 

@@ -272,17 +272,25 @@ def polytabloid_reference(t, index: dict, p: int) -> np.ndarray:
     return v % p
 
 
-def specht_data_reference(shape: tuple[int, ...], p: int) -> dict:
-    """S^shape over GF(p): tabloids, standard tableaux, basis, Gram matrix and
-    generators, each generator solved against the full tabloid-coordinate
-    basis."""
-    m = sum(shape)
+def basis_reference(shape: tuple[int, ...], p: int) -> tuple[tuple, tuple, np.ndarray]:
+    """(tabloids, standard tableaux, basis): the standard polytabloids as the
+    columns of a dense tabloids x dim matrix mod p."""
     std = standard_tableaux_bruteforce(shape)
     tabs = tabloids_reference(shape)
     index = {t: k for k, t in enumerate(tabs)}
     basis = np.zeros((len(tabs), len(std)), dtype=np.int64)
     for k, t in enumerate(std):
         basis[:, k] = polytabloid_reference(t, index, p)
+    return tabs, std, basis
+
+
+def specht_data_reference(shape: tuple[int, ...], p: int) -> dict:
+    """S^shape over GF(p): tabloids, standard tableaux, basis, Gram matrix and
+    generators, each generator solved against the full tabloid-coordinate
+    basis."""
+    m = sum(shape)
+    tabs, std, basis = basis_reference(shape, p)
+    index = {t: k for k, t in enumerate(tabs)}
     gens = []
     for i in range(1, m):
         swap = {i: i + 1, i + 1: i}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from csext import (
     tilde,
 )
 from csext import harness, specht
+from csext.errors import EngineLimitError
 from csext.specht import DegreeCapError, satisfies_relations
 
 import reference
@@ -61,9 +63,12 @@ def test_degree_cap():
         warnings.simplefilter("error")
         data = specht_data((8,), 3, cap=8)
     assert data.rep.dim == 1
-    # Tabloid codes are base-len(shape) integers and must fit in int64.
-    with pytest.raises(DegreeCapError):
+    # Tabloid codes are base-len(shape) integers and must fit in int64:
+    # past that is an engine limit, refused before any tableau is listed.
+    standard = specht._standard_tableaux.cache_info().misses
+    with pytest.raises(EngineLimitError, match="beyond 64-bit integers"):
         specht_data((62, 1), 3, cap=63)
+    assert specht._standard_tableaux.cache_info().misses == standard
     wide = specht_data((61, 1), 3, cap=62)
     assert wide.rep.dim == 61 and wide.tabloid_count == 62
     assert satisfies_relations(wide.rep)
@@ -84,6 +89,12 @@ def _same_array(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _polytabloid_columns(lam, p):
+    """The standard polytabloids of S^lam as the columns of a dense matrix."""
+    std = standard_tableaux(lam, cap=8)
+    return np.stack([polytabloid(t, p, cap=8) for t in std], axis=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_specht_data_matches_reference_builder(data):
@@ -94,12 +105,11 @@ def test_specht_data_matches_reference_builder(data):
     assert got.tabloid_count == len(want["tabloids"])
     assert tuple(tabloid_basis(lam)) == want["tabloids"]
     assert got.std_tableaux == want["std_tableaux"]
-    assert _same_array(got.basis, want["basis"])
+    assert not hasattr(got, "basis")
+    assert _same_array(_polytabloid_columns(lam, p), want["basis"])
     assert _same_array(got.gram, want["gram"])
     assert len(got.rep.gens) == len(want["gens"])
     assert all(_same_array(g, w) for g, w in zip(got.rep.gens, want["gens"]))
-    for k, t in enumerate(got.std_tableaux):
-        assert _same_array(polytabloid(t, p), got.basis[:, k])
 
 
 def test_standard_rows_have_unit_diagonal_and_full_rank():
@@ -111,7 +121,9 @@ def test_standard_rows_have_unit_diagonal_and_full_rank():
             position = {tab: k for k, tab in enumerate(tabloid_basis(lam))}
             rows = [position[tuple(tuple(sorted(r)) for r in t)] for t in standard_tableaux(lam)]
             for p in PRIMES:
-                square = specht_data(lam, p).basis[rows]
+                basis = reference.basis_reference(lam, p)[2]
+                assert _same_array(_polytabloid_columns(lam, p), basis), (lam, p)
+                square = basis[rows]
                 assert (np.diag(square) == 1).all(), (lam, p)
                 assert ffla.rank(square, p) == len(square), (lam, p)
 
@@ -125,7 +137,9 @@ def test_layers_match_per_generator_reference():
     # the int64 product and the one-solve-per-generator loops.
     for lam, p in LAYER_CASES:
         data = specht_data(lam, p, cap=8)
-        assert _same_array(data.gram, reference.gram_reference(data.basis, p)), (lam, p)
+        basis = reference.basis_reference(lam, p)[2]
+        assert _same_array(_polytabloid_columns(lam, p), basis), (lam, p)
+        assert _same_array(data.gram, reference.gram_reference(basis, p)), (lam, p)
         cases = [(rad_subrep(lam, p, cap=8), reference.rad_subrep_reference)]
         if is_p_regular(lam, p):
             cases.append((simple_head(lam, p, cap=8), reference.simple_head_reference))
@@ -138,16 +152,70 @@ def test_layers_match_per_generator_reference():
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_gram_is_exact_across_chunks(data):
+    # The Gram matrix from the coded polytabloid terms, one chunk of tabloid
+    # rows at a time, against the int64 product of the dense reference basis.
     p = data.draw(st.sampled_from(PRIMES))
-    rows, cols = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 6))
-    entries = st.integers(0, p - 1) if data.draw(st.booleans()) else st.sampled_from([0, 1, p - 1])
-    basis = np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)),
-                     dtype=np.int64).reshape(rows, cols)
+    lam = data.draw(st.sampled_from(enum_partitions(data.draw(st.integers(0, 7)))))
+    std = standard_tableaux(lam)
+    terms, _ = specht._polytabloids(std, lam)
+    count = math.factorial(sum(lam)) // math.prod(math.factorial(r) for r in lam)
     with pytest.MonkeyPatch.context() as mp:
-        # GRAM_CHUNK // cols^2 rows a product: from one row to all of them
+        # GRAM_CHUNK // dim^2 rows a product: from one row to all of them
         mp.setattr(specht, "GRAM_CHUNK", data.draw(st.integers(1, 64)))
-        got = specht._gram(basis, p)
-    assert _same_array(got, reference.gram_reference(basis, p))
+        got = specht._gram(terms, count, len(std), p)
+    want = reference.gram_reference(reference.basis_reference(lam, p)[2], p)
+    assert _same_array(got, want)
+
+
+def _arrays(obj):
+    """Every array reachable from a record through its fields, cached
+    properties, tuples and the bases of views."""
+    if isinstance(obj, np.ndarray):
+        while obj is not None:
+            yield obj
+            obj = obj.base
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _arrays(x)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj))
+
+
+def test_build_keeps_no_dense_tabloid_basis(monkeypatch):
+    # From cold caches, building S^(2,2,1^4) at p = 5 must stay below the
+    # 10,080 x 20 int64 dense basis (1.6 MB) it used to create, and leave no
+    # array with a row or column per tabloid reachable from the record.
+    lam, p = (2, 2, 1, 1, 1, 1), 5
+    monkeypatch.setattr(specht, "_DATA_CACHE", {})
+    specht._tabloids.cache_clear()
+    specht._standard_tableaux.cache_clear()
+    tracemalloc.start()
+    try:
+        data = specht_data(lam, p, cap=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.tabloid_count == 10_080 and data.rep.dim == 20
+    assert peak < 10_080 * 20 * 8
+    data.rad_rep, data.head_rep  # the cached layers join the record
+    arrays = list(_arrays(data))
+    assert any(a is data.gram for a in arrays)
+    assert all(data.tabloid_count not in a.shape for a in arrays)
+
+
+def test_record_arrays_are_read_only():
+    # One record serves the whole process: a caller writing into its Gram
+    # matrix before the radical is computed would change rad_dim for
+    # everyone, so every array of the record refuses writes.
+    data = specht_data((2, 2), 3)
+    for a in (data.gram, *data.rep.gens, data.rad_kernel, *data.rad_rep.gens,
+              *data.head_rep.gens):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert rad_dim((2, 2), 3) == 1
 
 
 def test_gram_kernel_once_per_shape_and_p(monkeypatch):
