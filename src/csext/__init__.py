@@ -57,6 +57,7 @@ from .specht import (
     SpechtData,
     SymRep,
     gen_action_on_tabloids,
+    hom_from_specht,
     hom_rad_to_simple,
     hom_space,
     image_equals_rad,

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,17 +64,7 @@ class SweepRow:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "p": self.p,
-            "size": self.size,
-            "lam": self.lam,
-            "mu": self.mu,
-            "predicted": self.predicted,
-            "observed": self.observed,
-            "status": self.status,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -90,16 +80,9 @@ class Report:
         return sum(1 for r in self.rows if r.status == MISMATCH)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "kind": self.kind,
-                "config": self.config,
-                "rows": [r.to_dict() for r in self.rows],
-                "summary": self.summary,
-            },
-            indent=2,
-        )
+        return json.dumps({"version": self.version, "kind": self.kind, "config": self.config,
+                           "rows": [r.to_dict() for r in self.rows], "summary": self.summary},
+                          indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

@@ -21,18 +21,6 @@ from dataclasses import dataclass
 from . import combinatorics as comb
 from .errors import ScopeError, ScopeReason
 
-__all__ = [
-    "ExtAnswer",
-    "RadPrediction",
-    "ScopeError",
-    "ScopeReason",
-    "ext1_gl",
-    "ext1_sym",
-    "rad_weyl_prediction",
-    "rad_specht_prediction",
-    "is_prime",
-]
-
 
 @dataclass(frozen=True)
 class ExtAnswer:

@@ -20,8 +20,9 @@ p; every partial sum is an integer no larger than the column-group order,
 far below 2^53, so the product is exact.  The radical and head actions of
 all generators come from one solve against their stacked right-hand sides.
 Each (shape, p) has one SpechtData record, built once a process, which
-computes its radical and head on first use and keeps them, all read-only;
-each rep likewise holds its joint +-1 eigenspace split for the hom engine.
+computes its radical and head on first use and keeps them, all read-only.
+Maps out of S^nu are solved from its Garnir presentation, one vector of the
+target per map, not one matrix.
 
 The symmetric group acts on the left on tableau entries; a representation is
 stored as one matrix per adjacent transposition s_i = (i, i+1), i = 1..m-1,
@@ -70,8 +71,7 @@ class SymRep:
     """A module for the symmetric group on {1..m} over GF(p).
 
     gens[k] is the dim x dim action matrix of the adjacent transposition
-    (k+1, k+2).  The generator arrays are made read-only.  The joint
-    eigenspace splits are computed on first use and kept on the rep.
+    (k+1, k+2).  The generator arrays are made read-only.
     """
 
     degree: int
@@ -82,16 +82,6 @@ class SymRep:
     def __post_init__(self):
         for a in self.gens:
             _frozen(a)
-
-    @cached_property
-    def left_eigenspaces(self) -> dict[tuple[int, ...], np.ndarray] | None:
-        """Joint +-1 eigenspaces of the transposed s_1, s_3, ..., for maps out of this rep."""
-        return _joint_eigenspaces([a.T for a in self.gens[::2]], self.dim, self.p)
-
-    @cached_property
-    def right_eigenspaces(self) -> dict[tuple[int, ...], np.ndarray] | None:
-        """Joint +-1 eigenspaces of s_1, s_3, ..., for maps into this rep."""
-        return _joint_eigenspaces(self.gens[::2], self.dim, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +116,8 @@ class SpechtData:
         kernel, p, rep = self.rad_kernel, self.p, self.rep
         r = kernel.shape[1]
         if r == 0:
-            return SymRep(degree=rep.degree, dim=0, p=p, gens=tuple(
-                np.zeros((0, 0), dtype=np.int64) for _ in rep.gens
-            ))
+            gens = tuple(np.zeros((0, 0), dtype=np.int64) for _ in rep.gens)
+            return SymRep(degree=rep.degree, dim=0, p=p, gens=gens)
         # The radical is a submodule, so each image lies in its span.
         gens = _coordinates(kernel, [a @ kernel % p for a in rep.gens], p)
         return SymRep(degree=rep.degree, dim=r, p=p, gens=gens)
@@ -262,10 +251,13 @@ def _column_group(shape: Partition) -> tuple[np.ndarray, np.ndarray]:
 def polytabloid(t: Tableau, p: int, cap: int | None = None) -> np.ndarray:
     """Signed column-group sum of tabloids, as a vector mod p.
 
-    Coordinates follow the canonical tabloid order of the tableau's shape.
+    Coordinates follow the canonical tabloid order of the tableau's shape,
+    whose entries must be 1..m, each once.
     """
     shape = as_partition(tuple(len(row) for row in t))
     _check_cap(sum(shape), cap)
+    if sorted(itertools.chain(*t)) != list(range(1, sum(shape) + 1)):
+        raise ValueError(f"tableau {t} must hold each of 1..{sum(shape)} exactly once")
     terms, _ = _polytabloids((t,), shape)
     return _basis_rows(terms, np.arange(len(_tabloids(shape)[0])), 1, p).ravel()
 
@@ -431,90 +423,140 @@ def simple_head(shape: Partition, p: int, cap: int | None = None) -> SymRep:
     return specht_data(shape, p, cap).head_rep
 
 
-def hom_space(v: SymRep, w: SymRep) -> HomSpace:
-    """All equivariant maps f: V -> W, a few generators at a time.
-
-    A matrix F intertwines iff F A_i = B_i F for every generator pair.  The
-    solutions are kept as a basis K of column-major vec(F).  The pairwise
-    commuting generators s_1, s_3, s_5, ... are handled at once, from the
-    joint eigenvectors of their actions; each remaining generator cuts K
-    to K . null(M_i K), where column j of M_i K is vec(F_j A_i - B_i F_j)
-    for the map F_j of column j.  The basis returned is the canonical one,
-    the identity on the free coordinates of the solution space.
-    """
+def _check_pair(v: SymRep, w: SymRep) -> None:
     if v.degree != w.degree:
         raise ValueError(f"group degrees differ: {v.degree} vs {w.degree}")
     if v.p != w.p:
         raise ValueError(f"field characteristics differ: {v.p} vs {w.p}")
+
+
+def hom_space(v: SymRep, w: SymRep) -> HomSpace:
+    """All equivariant maps f: V -> W, one generator at a time.
+
+    A matrix F intertwines iff F A_i = B_i F for every generator pair.  The
+    solutions are kept as a basis K of column-major vec(F), starting from
+    the identity; each generator cuts K to K . null(M_i K), where column j
+    of M_i K is vec(F_j A_i - B_i F_j) for the map F_j of column j.  The
+    basis returned is the canonical one, the identity on the free
+    coordinates of the solution space.  Its dim V * dim W unknowns make it
+    a reference: maps out of a Specht module come from `hom_from_specht`.
+    """
+    _check_pair(v, w)
     p = v.p
     if v.dim == 0 or w.dim == 0:
         return HomSpace(dim=0, maps=())
-    basis = _commuting_intertwiners(v, w)
-    pairs = zip(v.gens[1::2], w.gens[1::2])
-    if basis is None:  # not diagonalisable, as in characteristic 2
-        basis = np.eye(w.dim * v.dim, dtype=np.int64)
-        pairs = zip(v.gens, w.gens)
-    for a, b in pairs:
+    basis = np.eye(w.dim * v.dim, dtype=np.int64)
+    for a, b in zip(v.gens, w.gens):
         if basis.shape[1] == 0:
             break
-        basis = _cut(basis, a, b, p)
-    # The canonical basis vector of free coordinate c ends in a 1 at c and
-    # is 0 on the other free coordinates: the reduced echelon form of K^T
-    # read right to left.
+        # f[c, r, j] = F_j[r, c], since vec(F) is column-major
+        f = basis.reshape((v.dim, w.dim, -1))
+        image = (a.T @ f.reshape((v.dim, -1))).reshape(f.shape) - b @ f
+        basis = basis @ ffla.nullspace(image.reshape(basis.shape) % p, p) % p
+    # The canonical basis vector of free coordinate c ends in a 1 at c and is
+    # 0 on the other free coordinates: the rref of K^T read right to left.
     r, pivots = ffla.rref(basis.T[:, ::-1], p)
     kernel = np.ascontiguousarray(r[: len(pivots)][::-1, ::-1].T)
-    maps = tuple(
-        kernel[:, k].reshape((w.dim, v.dim), order="F") for k in range(kernel.shape[1])
-    )
+    maps = tuple(kernel[:, k].reshape((w.dim, v.dim), order="F") for k in range(kernel.shape[1]))
     return HomSpace(dim=len(maps), maps=maps)
 
 
-def _commuting_intertwiners(v: SymRep, w: SymRep) -> np.ndarray | None:
-    """vec basis of the F with F A_i = B_i F for s_1, s_3, s_5, ...
+def _word_tree(start, moves) -> tuple[dict, list[tuple[int, int]]]:
+    """Breadth-first from start, where moves(state) yields (i, the state s_i
+    leads to): the node of each state, and the words, node 0 being (-1, 0)
+    and node k > 0 (parent, i), s_i times the word of an earlier node."""
+    states, nodes, words = [start], {start: 0}, [(-1, 0)]
+    for k, state in enumerate(states):
+        for i, nxt in moves(state):
+            if nxt not in nodes:
+                nodes[nxt] = len(states)
+                states.append(nxt)
+                words.append((k, i))
+    return nodes, words
 
-    These generators commute.  When each is diagonalisable with eigenvalues
-    +-1, the solutions are spanned by the maps y u^T, where y is a joint
-    eigenvector of the B_i and u one of the A_i^T with the same
-    eigenvalues; column-major vec(y u^T) is u kron y.  Otherwise None.
+
+@lru_cache(maxsize=None)
+def _presentation(shape: Partition) -> tuple[list, list, list[int]]:
+    """The relations of e_t, t the column-reading tableau (1..h_1 down column
+    1, and so on), as word trees with a sign per word; the word tree of the
+    pi_s with pi_s t = s; and the node of each standard tableau s.
+
+    Column relations: 1 + s_i for i, i+1 in one column.  Garnir relations,
+    for columns j, j+1 and row r <= h_{j+1}: with A = column j from row r
+    down and B = column j+1 down to row r, a run of entries, the sum of
+    sgn(pi) pi over the shuffles pi of A and B (coset representatives of
+    S_A x S_B in S_{A u B}), each shuffle the set of run positions of A.
     """
-    left, right = v.left_eigenspaces, w.right_eigenspaces
-    if left is None or right is None:
-        return None
-    blocks = [np.kron(u, right[signs]) % v.p for signs, u in left.items() if signs in right]
-    return np.hstack(blocks) if blocks else np.zeros((v.dim * w.dim, 0), dtype=np.int64)
+    heights = conjugate(shape)
+    starts = list(itertools.accumulate((0,) + heights))
+    relations = [([(-1, 0), (0, i)], [1, 1])
+                 for j, h in enumerate(heights) for i in range(starts[j] + 1, starts[j] + h)]
+    for j in range(len(heights) - 1):
+        for r in range(1, heights[j + 1] + 1):
+            lo, a, n = starts[j] + r, heights[j] - r + 1, heights[j] + 1
+            # s_{lo+q} moves the entry of A at run position q up past one of B.
+            shuffles, words = _word_tree(tuple(range(a)), lambda s, lo=lo, n=n: (
+                (lo + q, tuple(x + (x == q) for x in s)) for q in s if q + 1 not in s + (n,)))
+            relations.append((words, [(-1) ** (sum(s) - a * (a - 1) // 2) for s in shuffles]))
+    std = set(_standard_tableaux(shape))
+    t = tuple(tuple(starts[c] + r + 1 for c in range(size)) for r, size in enumerate(shape))
+    nodes, words = _word_tree(t, lambda s: (
+        (i, nxt) for i in range(1, sum(shape))
+        if (nxt := tuple(tuple(e + (e == i) - (e == i + 1) for e in row) for row in s)) in std))
+    if len(nodes) != len(std):
+        raise AssertionError  # pragma: no cover - the s_i moves connect them all
+    return relations, words, [nodes[s] for s in _standard_tableaux(shape)]
 
 
-def _joint_eigenspaces(gens, dim: int, p: int) -> dict[tuple[int, ...], np.ndarray] | None:
-    """Bases of the joint +-1 eigenspaces of commuting matrices, by signs.
+def _images(words: list[tuple[int, int]], basis: np.ndarray, gens, p: int) -> list[np.ndarray]:
+    """rho(w) basis for every word w of the tree, one product each."""
+    out: list[np.ndarray] = []
+    for parent, i in words:
+        out.append(basis if parent < 0 else gens[i - 1] @ out[parent] % p)
+    return out
 
-    None when the eigenspaces do not add up to the whole space.
+
+def hom_from_specht(data: SpechtData, x: SymRep, kill: np.ndarray | None = None) -> HomSpace:
+    """The maps f: S^nu -> X, nu = data.shape, as dim_X x dim_S matrices;
+    with kill, only those that vanish on the span of its columns.
+
+    S^nu is e_t subject to the column and Garnir relations of `_presentation`
+    (James, LNM 682, 1978; Sagan, The Symmetric Group, 2nd ed., 2.6), so f is
+    fixed by any v = f(e_t) they kill, in dim X unknowns: each relation R
+    cuts a basis K of candidates, from the identity, to K . null(R K).
+    Then f(e_s) = pi_s v.
     """
-    spaces = {(): np.eye(dim, dtype=np.int64)}
-    for g in gens:
-        split = {}
-        for signs, u in spaces.items():
-            for e in {1, p - 1}:
-                part = u @ ffla.nullspace((g @ u - e * u) % p, p) % p
-                if part.shape[1]:
-                    split[signs + (e,)] = part
-        spaces = split
-    if sum(u.shape[1] for u in spaces.values()) < dim:
-        return None
-    return spaces
-
-
-def _cut(basis: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The combinations of the basis columns whose maps F satisfy F A = B F."""
-    dv, dw = len(a), len(b)
-    # f[c, r, j] = F_j[r, c], since vec(F) is column-major
-    f = basis.reshape((dv, dw, -1))
-    image = (a.T @ f.reshape((dv, -1))).reshape(f.shape) - b @ f
-    return basis @ ffla.nullspace(image.reshape(basis.shape) % p, p) % p
+    _check_pair(data.rep, x)
+    p = x.p
+    relations, words, order = _presentation(data.shape)
+    basis = np.eye(x.dim, dtype=np.int64)
+    for tree, signs in relations:
+        if basis.shape[1] == 0:
+            break
+        total = np.tensordot(signs, _images(tree, basis, x.gens, p), axes=1) % p
+        basis = basis @ ffla.nullspace(total, p) % p
+    # maps[j, :, s] = pi_s v_j for the candidate v_j in column j
+    maps = np.stack(_images(words, basis, x.gens, p))[order].transpose(2, 1, 0)
+    if kill is not None and len(maps):
+        keep = ffla.nullspace((maps @ kill).reshape(len(maps), -1).T % p, p)
+        maps = np.tensordot(keep.T, maps, axes=1) % p
+    return HomSpace(dim=len(maps), maps=tuple(maps))
 
 
 def hom_rad_to_simple(lam: Partition, mu: Partition, p: int, cap: int | None = None) -> int:
-    """dim Hom(rad S^lam, D^mu) over GF(p)."""
-    return hom_space(rad_subrep(lam, p, cap), simple_head(mu, p, cap)).dim
+    """dim Hom(rad S^lam, D^mu) over GF(p), as dim Hom(D^mu, (rad S^lam)^*):
+    D^mu is self-dual.  These are the maps S^mu -> (rad S^lam)^* that kill
+    rad S^mu; the dual acts by the transposed generators.  A nonzero map to
+    a simple module is onto, so it is 0 when dim D^mu > dim rad S^lam.
+    """
+    rad, data = rad_subrep(lam, p, cap), specht_data(mu, p, cap)
+    if not is_p_regular(data.shape, p):
+        raise ValueError(f"{data.shape} is not {p}-regular, the simple head is not defined")
+    _check_pair(rad, data.rep)
+    if data.rep.dim - data.rad_kernel.shape[1] > rad.dim:
+        return 0
+    dual = SymRep(degree=rad.degree, dim=rad.dim, p=p, gens=tuple(a.T for a in rad.gens))
+    return hom_from_specht(data, dual, data.rad_kernel).dim
 
 
 def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = None) -> bool:
@@ -525,11 +567,10 @@ def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = No
     basis maps.
     """
     data = specht_data(lam, p, cap)
-    kernel = data.rad_kernel
-    r = kernel.shape[1]
+    kernel, r = data.rad_kernel, data.rad_kernel.shape[1]
     if r == 0:
         return False
-    homs = hom_space(specht_data(nu, p, cap).rep, data.rep)
+    homs = hom_from_specht(specht_data(nu, p, cap), data.rep)
     if homs.dim == 0:
         return False
     lines = (p**homs.dim - 1) // (p - 1)
@@ -537,30 +578,17 @@ def image_equals_rad(nu: Partition, lam: Partition, p: int, cap: int | None = No
         raise EngineLimitError(
             f"hom space of dimension {homs.dim} has {lines:,} lines, over the limit of 100,000")
     for coeffs in itertools.product(range(p), repeat=homs.dim):
-        first_nonzero = next((c for c in coeffs if c), None)
-        if first_nonzero != 1:
-            continue
-        f = sum(c * h for c, h in zip(coeffs, homs.maps)) % p
-        if ffla.rank(f, p) == r and ffla.rank(np.hstack([f, kernel]), p) == r:
-            return True
+        if next((c for c in coeffs if c), None) == 1:  # one vector per line
+            f = sum(c * h for c, h in zip(coeffs, homs.maps)) % p
+            if ffla.rank(f, p) == r and ffla.rank(np.hstack([f, kernel]), p) == r:
+                return True
     return False
 
 
 def satisfies_relations(rep: SymRep) -> bool:
     """Exact involution, braid and commutation checks on the generators."""
-    p = rep.p
-    eye = np.eye(rep.dim, dtype=np.int64)
-    gens = rep.gens
-    for a in gens:
-        if not np.array_equal(a @ a % p, eye):
-            return False
-    for i in range(len(gens) - 1):
-        a, b = gens[i], gens[i + 1]
-        if not np.array_equal(a @ b @ a % p, b @ a @ b % p):
-            return False
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            a, b = gens[i], gens[j]
-            if not np.array_equal(a @ b % p, b @ a % p):
-                return False
-    return True
+    p, gens, eye = rep.p, rep.gens, np.eye(rep.dim, dtype=np.int64)
+    return (all(np.array_equal(a @ a % p, eye) for a in gens)
+            and all(np.array_equal(a @ b @ a % p, b @ a @ b % p) for a, b in zip(gens, gens[1:]))
+            and all(np.array_equal(a @ b % p, b @ a % p)
+                    for i, a in enumerate(gens) for b in gens[i + 2:]))

@@ -150,7 +150,7 @@ def test_image_refusal_is_an_engine_limit(capsys, monkeypatch):
 
     # (3^12 - 1) / 2 = 265,720 lines, over the 100,000 that are enumerated.
     big = specht.HomSpace(dim=12, maps=tuple(np.zeros((1, 1), dtype=np.int64) for _ in range(12)))
-    monkeypatch.setattr(specht, "hom_space", lambda v, w: big)
+    monkeypatch.setattr(specht, "hom_from_specht", lambda data, x, kill=None: big)
     code, _, err = run(capsys, "verify", "sym", "--p", "3", "--m", "3")
     assert code == EXIT_LIMIT
     assert err.startswith("engine limit:") and "265,720 lines, over the limit of 100,000" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -193,6 +195,20 @@ def test_sweep_sym_degree_8_over_gf3():
     report = harness.sweep_sym(3, 8, cap=8)
     assert report.mismatches == 0
     assert any(r.status == MATCH and r.check == "ext1" for r in report.rows)
+
+
+@pytest.mark.parametrize("p,m,digest", [
+    (3, 8, "3aef3797d13f2d418bf409c63e6b6f4db8c11fb9e6c08315e28189158006525d"),
+    (5, 8, "bd99db22b272b4bfff947b9041ad02d751f426ef1d45bae8aa37a1115eb05b48"),
+    (7, 8, "dc70f970e2bf60df7bb326ef6caf3c1088ef401bf39ec75001e0916a93a2387d"),
+    (3, 9, "6f5c23e07fa7e03a37a4dac53a9ac1cdd717dff20f8825c4b4ffa718f2a313e6"),
+])
+def test_sweep_sym_csv_digests_hold(p, m, digest):
+    # Digests of the CSVs made by the Kronecker hom engine that the Garnir
+    # presentation replaced: the rows must not change with the engine.
+    report = harness.sweep_sym(p, m, cap=m)
+    assert report.mismatches == 0
+    assert hashlib.sha256(report.to_csv().encode()).hexdigest() == digest
 
 
 def test_sweep_sym_refuses_degrees_before_any_work(monkeypatch):

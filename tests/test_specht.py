@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from csext import (
     enum_partitions,
     ffla,
     gen_action_on_tabloids,
+    hom_from_specht,
     hom_rad_to_simple,
     hom_space,
     image_equals_rad,
@@ -83,6 +85,14 @@ def test_polytabloid_examples():
     v = polytabloid(t, 7)
     assert np.count_nonzero(v) == 2
     assert sorted(v[v != 0].tolist()) == [1, 6]
+
+
+@pytest.mark.parametrize("t", [((1, 1), (3,)), ((1, 2), (9,)), ((1, 2), (0,))])
+def test_polytabloid_refuses_entries_other_than_one_to_m(t):
+    # A repeated entry, one past m and one below 1: each used to slip through
+    # or fail inside numpy.
+    with pytest.raises(ValueError, match=r"must hold each of 1\.\.3 exactly once"):
+        polytabloid(t, 5)
 
 
 def _same_array(got, want):
@@ -235,28 +245,6 @@ def test_gram_kernel_once_per_shape_and_p(monkeypatch):
     records = list(specht._DATA_CACHE.values())
     grams = [sum(a is data.gram for a in calls) for data in records]
     assert len(records) > 0 and grams == [1] * len(records)
-
-
-def test_eigenspaces_split_once_per_rep_and_side(monkeypatch):
-    # A fresh record cache, so every rep of the sweep is built here.
-    monkeypatch.setattr(specht, "_DATA_CACHE", {})
-    calls, sides = [], {"left": {}, "right": {}}
-    split, hom = specht._joint_eigenspaces, specht.hom_space
-
-    def counted_split(gens, dim, p):
-        calls.append(dim)
-        return split(gens, dim, p)
-
-    def recorded_hom(v, w):
-        if v.dim and w.dim:
-            sides["left"][id(v)], sides["right"][id(w)] = v, w
-        return hom(v, w)
-
-    monkeypatch.setattr(specht, "_joint_eigenspaces", counted_split)
-    monkeypatch.setattr(specht, "hom_space", recorded_hom)
-    report = harness.sweep_sym(5, 6)
-    assert report.mismatches == 0
-    assert len(calls) == len(sides["left"]) + len(sides["right"]) > 0
 
 
 def test_gen_action_is_permutation():
@@ -413,3 +401,61 @@ def test_hom_space_matches_stacked_reference(data):
     for got, exp in zip(homs.maps, want):
         assert got.shape == exp.shape and got.dtype == exp.dtype
         assert got.tobytes() == exp.tobytes()
+
+
+def _row_space(maps, p):
+    """The reduced echelon form of the maps' flattened entries, as rows."""
+    if not maps:
+        return np.zeros((0, 0), dtype=np.int64)
+    r, pivots = ffla.rref(np.stack([np.asarray(f).ravel() for f in maps]), p)
+    return r[: len(pivots)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_hom_from_specht_matches_stacked_reference(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    m = data.draw(st.integers(1, 6))
+    nu = data.draw(st.sampled_from(enum_partitions(m)))
+    source, x = specht_data(nu, p), data.draw(small_reps(m, p))
+    homs = hom_from_specht(source, x)
+    want = reference.hom_space_stacked(source.rep.gens, x.gens, source.rep.dim, x.dim, p)
+    assert homs.dim == len(want) == len(homs.maps)
+    # The same space of maps, whatever basis each side picked.
+    assert np.array_equal(_row_space(homs.maps, p), _row_space(want, p))
+
+
+def test_hom_from_specht_head_case_matches_hom_space():
+    for p in PRIMES:
+        for m in range(1, 6):
+            parts = enum_partitions(m)
+            targets = [specht_data(lam, p) for lam in parts]
+            targets = [r for d in targets for r in (d.rep, d.rad_rep, d.head_rep)]
+            for nu in parts:
+                source = specht_data(nu, p)
+                for x in targets:
+                    got = hom_from_specht(source, x, source.rad_kernel).dim
+                    assert got == hom_space(source.head_rep, x).dim, (nu, p)
+
+
+def test_hom_from_specht_maps_intertwine():
+    for p in PRIMES:
+        for m in range(1, 6):
+            parts = enum_partitions(m)
+            for nu, lam in itertools.product(parts, parts):
+                source, target = specht_data(nu, p), specht_data(lam, p)
+                for x in (target.rep, target.rad_rep, target.head_rep):
+                    for kill in (None, source.rad_kernel):
+                        homs = hom_from_specht(source, x, kill)
+                        for f in homs.maps:
+                            assert f.shape == (x.dim, source.rep.dim)
+                            for a, b in zip(source.rep.gens, x.gens):
+                                assert np.array_equal(f @ a % p, b @ f % p), (nu, lam, p)
+                            if kill is not None:
+                                assert not (f @ kill % p).any()
+                        if homs.dim:
+                            assert ffla.rank(np.stack([f.ravel() for f in homs.maps]), p) == homs.dim
+    with pytest.raises(ValueError):
+        hom_from_specht(specht_data((4,), 3), specht_data((2, 1), 3).rep)
+    with pytest.raises(ValueError):
+        hom_from_specht(specht_data((4,), 3), specht_data((4,), 5).rep)
